@@ -597,6 +597,9 @@ def check_distinct_ab_brute(n_max):
 def check_f_symmetry(n_max):
     for n in range(min(n_max, 11) + 1):
         table = qbell.qt_catalan(n)
+        brute = qbell.BivariateTable.from_pairs(n, paths.iter_area_bounce(n))
+        if table.rows != brute.rows:
+            return False, {"n": n, "reason": "table differs from enumeration"}
         if not table.is_symmetric():
             return False, {"n": n}
         if table.total() != paths.catalan(n):

@@ -272,8 +272,8 @@ def _iter_row_starts(n):
 def iter_area_bounce(n: int) -> Iterator[tuple]:
     """(area, bounce) over all paths of semilength n, without path objects.
 
-    Backbone of the exhaustive polynomial builds; the per-path work is a
-    single O(n) sweep.
+    The brute-force oracle for the polynomial tables in `qbell`; the
+    per-path work is a single O(n) sweep.
     """
     total = (n * (n - 1)) // 2
     for x in _iter_row_starts(n):

@@ -5,6 +5,17 @@ Univariate polynomials are tuples of arbitrary-precision integer
 coefficients in the variable q, constant term first, no trailing zeros.
 The empty tuple is the zero polynomial.
 
+One kernel does the heavy arithmetic: Kronecker substitution.  A
+polynomial is evaluated at q = 2**w, which packs its coefficients into
+the w-bit digits of one integer; a product of polynomials is then a
+single big-integer product, read back digit by digit, and exact as long
+as no coefficient outgrows w bits.  `poly_mul` is this kernel for tuples.
+`q_binomial` evaluates the Gaussian product formula at q = 2**w, and
+`qt_catalan` keeps the whole (area, bounce) table packed as one integer,
+with t = 2**(w * (C(n,2) + 1)), while it sums Haglund's bounce formula.
+Enumerating paths (`paths.iter_area_bounce`) serves only as the oracle
+for these tables.
+
 The width function here drives everything downstream: width(n) is both the
 degree of the q-Bell polynomial and the length of the interval of realized
 area + bounce totals on paths of semilength n, so width(n) + 1 counts the
@@ -17,7 +28,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .paths import iter_area_bounce
+from .paths import catalan
 
 
 # Reference values for the distinct-total count at n = 0..19.
@@ -38,14 +49,50 @@ def poly_add(a, b) -> tuple:
     return tuple(out)
 
 
+def _pack(digits, nbytes: int) -> int:
+    """The sum of digits[i] * 2**(8 * nbytes * i); each digit must lie in
+    [0, 2**(8 * nbytes))."""
+    return int.from_bytes(
+        b"".join(d.to_bytes(nbytes, "little") for d in digits), "little"
+    )
+
+
+def _unpack(value: int, nbytes: int, count: int) -> list:
+    """The first `count` digits of a nonnegative value in base
+    2**(8 * nbytes), lowest first; inverse of `_pack`."""
+    data = value.to_bytes(nbytes * count, "little")
+    return [
+        int.from_bytes(data[i : i + nbytes], "little")
+        for i in range(0, len(data), nbytes)
+    ]
+
+
 def poly_mul(a, b) -> tuple:
+    """Exact product for any integer coefficients, by one big-integer
+    product.  Every input and product coefficient c has |c| < 2**(w-1) for
+    the byte width w chosen here, so adding 2**(w-1) to each digit (the
+    bias) makes them all nonnegative without carries; it is added on
+    packing and removed on unpacking."""
     if not a or not b:
         return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
+    size = len(a) + len(b) - 1
+    bits = (
+        max(map(abs, a)).bit_length()
+        + max(map(abs, b)).bit_length()
+        + min(len(a), len(b)).bit_length()
+    )
+    nbytes = bits // 8 + 1
+    half = 1 << (8 * nbytes - 1)
+    half_digit = half.to_bytes(nbytes, "little")
+
+    def bias(count):
+        return int.from_bytes(half_digit * count, "little")
+
+    packed = (
+        (_pack([x + half for x in a], nbytes) - bias(len(a)))
+        * (_pack([y + half for y in b], nbytes) - bias(len(b)))
+    )
+    out = [d - half for d in _unpack(packed + bias(size), nbytes, size)]
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
@@ -74,18 +121,32 @@ def poly_to_string(a, var="q") -> str:
     return " + ".join(terms)
 
 
+def _q_binomial_at(m: int, k: int, w: int) -> int:
+    """[m choose k]_q at q = 2**w, for 0 <= k <= m: the exact quotient of
+    prod (q**(m-k+i) - 1) by prod (q**i - 1) over i = 1..k, with k taken
+    as the smaller of k and m - k."""
+    k = min(k, m - k)
+    num = den = 1
+    for i in range(1, k + 1):
+        num *= (1 << (w * (m - k + i))) - 1
+        den *= (1 << (w * i)) - 1
+    return num // den
+
+
 @lru_cache(maxsize=None)
 def q_binomial(m: int, k: int) -> tuple:
-    """Gaussian polynomial, by the Pascal-type recurrence in integer
-    arithmetic.  Out-of-range k gives the zero polynomial.  Degree is
-    k(m - k) and every coefficient in between is positive."""
+    """Gaussian polynomial, from the product formula evaluated at one
+    power of two and read back by digits (coefficients never exceed
+    C(m, k)).  k and m - k share one cache entry.  Out-of-range k gives
+    the zero polynomial.  Degree is k(m - k) and every coefficient in
+    between is positive."""
     if k < 0 or k > m:
         return ()
-    if k == 0 or k == m:
-        return (1,)
-    left = q_binomial(m - 1, k - 1)
-    right = q_binomial(m - 1, k)
-    return poly_add(left, (0,) * k + right)
+    if 2 * k > m:
+        return q_binomial(m, m - k)
+    nbytes = math.comb(m, k).bit_length() // 8 + 1
+    value = _q_binomial_at(m, k, 8 * nbytes)
+    return tuple(_unpack(value, nbytes, k * (m - k) + 1))
 
 
 @lru_cache(maxsize=None)
@@ -110,28 +171,38 @@ def bell_number(n: int) -> int:
     return values[n]
 
 
+def _width_table(n: int) -> tuple:
+    """(widths, leads) for m = 0..n, bottom-up: widths[m] is the max over
+    splits m = k + rest of (k-1)(m-k) + widths[rest], and leads[m] the
+    smallest k attaining it."""
+    if n < 0:
+        raise ValueError("semilength must be nonnegative")
+    widths = [0]
+    leads = [0]
+    for m in range(1, n + 1):
+        values = [(k - 1) * (m - k) + widths[m - k] for k in range(1, m + 1)]
+        best = max(values)
+        widths.append(best)
+        leads.append(values.index(best) + 1)
+    return widths, leads
+
+
 @lru_cache(maxsize=None)
 def ab_interval_width(n: int) -> int:
     """max over splits n = k + rest of (k-1)(n-k) + width(rest)."""
-    if n == 0:
-        return 0
-    return max(
-        (k - 1) * (n - k) + ab_interval_width(n - k) for k in range(1, n + 1)
-    )
+    return _width_table(n)[0][n]
 
 
 @lru_cache(maxsize=None)
 def minimizing_composition(n: int) -> tuple:
     """A composition attaining ab_interval_width(n); smallest leading part
     on ties, so the result is deterministic."""
-    if n == 0:
-        return ()
-    best_k, best_v = None, None
-    for k in range(1, n + 1):
-        v = (k - 1) * (n - k) + ab_interval_width(n - k)
-        if best_v is None or v > best_v:
-            best_k, best_v = k, v
-    return (best_k,) + minimizing_composition(n - best_k)
+    leads = _width_table(n)[1]
+    parts = []
+    while n:
+        parts.append(leads[n])
+        n -= leads[n]
+    return tuple(parts)
 
 
 def distinct_ab_count(n: int) -> int:
@@ -205,8 +276,48 @@ class BivariateTable:
 
 
 def qt_catalan(n: int) -> BivariateTable:
-    """Joint distribution of (area, bounce) over all paths of semilength n."""
-    return BivariateTable.from_pairs(n, iter_area_bounce(n))
+    """Joint distribution of (area, bounce) over all paths of semilength n,
+    from Haglund's bounce formula (Adv. Math. 175, 2003):
+
+        C_n(q, t) = sum over compositions alpha of n of
+                    q^(sum C(alpha_i, 2)) t^(sum (i-1) alpha_i)
+                    prod_i [alpha_i + alpha_(i+1) - 1 choose alpha_(i+1)]_q,
+
+    q marking area and t bounce.  G(m, a), the sum over compositions of m
+    with first part a, satisfies G(a, a) = q^C(a,2) and
+
+        G(m, a) = q^C(a,2) t^(m-a) sum_b [a+b-1 choose b]_q G(m-a, b),
+
+    since prepending a part raises every later part's index by one.  Each
+    G(m, a) is one packed integer: q = 2**w and t = 2**(w * (C(n,2)+1)).
+    Every coefficient counts paths, so none exceeds Catalan(n) < 2**w, and
+    no area exceeds C(n,2): no digit carries and no power of q reaches the
+    next power of t.  The table is read back from the digits."""
+    if n < 0:
+        raise ValueError("semilength must be nonnegative")
+    size = math.comb(n, 2) + 1
+    nbytes = catalan(n).bit_length() // 8 + 1
+    w = 8 * nbytes
+    gauss = {
+        (a, b): _q_binomial_at(a + b - 1, b, w)
+        for a in range(1, n + 1)
+        for b in range(1, n - a + 1)
+    }
+    # tails[m][a] = G(m, a) for 1 <= a <= m; index 0 is unused.
+    tails = [[0]]
+    for m in range(1, n + 1):
+        row = [0]
+        for a in range(1, m + 1):
+            rest = m - a
+            inner = sum(
+                gauss[a, b] * tails[rest][b] for b in range(1, rest + 1)
+            ) if rest else 1
+            row.append(inner << (w * (math.comb(a, 2) + size * rest)))
+        tails.append(row)
+    packed = sum(tails[n][1:]) if n else 1
+    digits = _unpack(packed, nbytes, size * size)
+    by_bounce = [digits[j * size : (j + 1) * size] for j in range(size)]
+    return BivariateTable(n, tuple(zip(*by_bounce)))
 
 
 def qt_flip_closure(n: int) -> BivariateTable:

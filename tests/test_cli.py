@@ -210,6 +210,12 @@ def test_fqt_summary(capsys):
     assert "symmetric=True" in out
 
 
+def test_fqt_beyond_enumeration(capsys):
+    code, out, _ = run(capsys, "fqt", "--n", "20")
+    assert code == 0
+    assert "paths=6564120420 symmetric=True" in out
+
+
 def test_qbell_subcommand(capsys):
     code, out, _ = run(capsys, "qbell", "--n", "3")
     assert code == 0 and out.strip() == "4 + q"

@@ -1,5 +1,9 @@
 import math
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
 from dyckab.paths import catalan, iter_area_bounce
 from dyckab.qbell import (
     DISTINCT_AB_FIRST_TWENTY,
@@ -9,12 +13,52 @@ from dyckab.qbell import (
     distinct_ab_count,
     minimizing_composition,
     poly_eval,
+    poly_mul,
     poly_to_string,
     q_bell,
     q_binomial,
     qt_catalan,
     qt_flip_closure,
 )
+
+
+def schoolbook_mul(a, b):
+    """Reference product: every pair of coefficients, one at a time."""
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+# -- the packed product ---------------------------------------------------------------
+
+signed_coeffs = st.lists(
+    st.one_of(
+        st.integers(min_value=-3, max_value=3),
+        st.integers(min_value=-(2**200), max_value=2**200),
+    ),
+    max_size=12,
+)
+
+
+@given(signed_coeffs, signed_coeffs)
+def test_poly_mul_matches_schoolbook(a, b):
+    assert poly_mul(a, b) == schoolbook_mul(a, b)
+    assert poly_mul(tuple(a), tuple(b)) == schoolbook_mul(b, a)
+
+
+def test_poly_mul_edges():
+    assert poly_mul((), (1, 2)) == ()
+    assert poly_mul((0, 0), (5,)) == ()
+    assert poly_mul((1, 0, 0), (1, 0)) == (1,)
+    assert poly_mul((-1, -1), (-1, -1)) == (1, 2, 1)
+    assert poly_mul((-128,), (-128,)) == (16384,)
+    assert poly_mul((1, -1), (1, 1)) == (1, 0, -1)
 
 
 # -- gaussian polynomials ---------------------------------------------------------
@@ -47,6 +91,13 @@ def test_q_binomial_symmetry():
             assert q_binomial(m, k) == q_binomial(m, m - k)
 
 
+def test_q_binomial_large_m():
+    coeffs = q_binomial(1500, 2)
+    assert len(coeffs) == 2 * 1498 + 1
+    assert coeffs == coeffs[::-1]
+    assert poly_eval(coeffs, 1) == math.comb(1500, 2)
+
+
 # -- q-bell ------------------------------------------------------------------------
 
 
@@ -57,7 +108,7 @@ def test_q_bell_base_cases():
 
 
 def test_q_bell_weight_one_is_bell():
-    for n in range(16):
+    for n in [*range(16), 60]:
         assert poly_eval(q_bell(n), 1) == bell_number(n)
 
 
@@ -66,7 +117,7 @@ def test_bell_numbers():
 
 
 def test_q_bell_support_is_gap_free():
-    for n in range(21):
+    for n in [*range(21), 60]:
         coeffs = q_bell(n)
         assert len(coeffs) == ab_interval_width(n) + 1
         assert all(c > 0 for c in coeffs)
@@ -85,7 +136,7 @@ def test_width_values():
 
 
 def test_minimizing_composition():
-    for n in range(1, 15):
+    for n in [*range(1, 15), 2000]:
         alpha = minimizing_composition(n)
         assert sum(alpha) == n
         total = 0
@@ -131,6 +182,26 @@ def test_qt_catalan_support():
         lo, hi = qt_catalan(n).support_totals()
         assert hi == math.comb(n, 2)
         assert lo == math.comb(n, 2) - ab_interval_width(n)
+
+
+def test_qt_catalan_matches_enumeration():
+    for n in range(12):
+        assert qt_catalan(n).rows == BivariateTable.from_pairs(n, iter_area_bounce(n)).rows
+
+
+def test_qt_catalan_degenerate_sizes():
+    assert qt_catalan(0).rows == ((1,),)
+    assert qt_catalan(1).rows == ((1,),)
+    with pytest.raises(ValueError):
+        qt_catalan(-1)
+
+
+def test_qt_catalan_twenty_beyond_enumeration():
+    table = qt_catalan(20)
+    assert table.total() == catalan(20)
+    assert table.is_symmetric()
+    top = math.comb(20, 2)
+    assert table.support_totals() == (top - ab_interval_width(20), top)
 
 
 def test_qt_flip_closure_symmetry():
