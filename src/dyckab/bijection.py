@@ -32,7 +32,7 @@ from .paths import (
     multiplicity,
     partitions,
 )
-from .ops import BOTTOM, add_area_cell, bounce_boost
+from .ops import BOTTOM, _checked, add_area_cell, bounce_boost
 
 
 class NotInDomainError(ValueError):
@@ -116,16 +116,20 @@ def row_map(lam, i, r) -> int:
 
 def apply_area_map(lam, count_map):
     """Stack count_map(i, r) cells in row row_map(lam, i, r) of the block
-    path of lam, indices ordered by i then r."""
+    path of lam.
+
+    Each count is subtracted from that row's start; the result is checked
+    once.  Stacking cell by cell in ascending rows gives the same answer,
+    since each added cell is checked only against the row below it.
+    """
     lam = tuple(lam)
-    n = sum(lam)
-    cur = DyckPath.from_composition(n, lam)
-    for (i, r) in sorted(count_map):
-        for _ in range(count_map[(i, r)]):
-            cur = add_area_cell(cur, row_map(lam, i, r))
-            if cur is BOTTOM:
-                return BOTTOM
-    return cur
+    x = list(DyckPath.from_composition(sum(lam), lam).row_starts)
+    for (i, r), v in count_map.items():
+        row = row_map(lam, i, r)
+        if v < 0:
+            raise ValueError(f"count {v} at ({i}, {r}) must be nonnegative")
+        x[row - 1] -= v
+    return _checked(x)
 
 
 def apply_bounce_map(lam, count_map):

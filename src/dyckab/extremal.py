@@ -46,10 +46,12 @@ def ab_level_map(n: int) -> dict:
 
 @lru_cache(maxsize=None)
 def _class_index(n: int) -> dict:
-    """(area, bounce composition) -> class members in word order."""
+    """(area, bounce composition) -> class members in word order, split
+    out of the levels (a class lies inside one level)."""
     out = {}
-    for p in enumerate_paths(n):
-        out.setdefault((p.area(), p.bounce_composition()), []).append(p)
+    for (area, _), members in level_sets(n).items():
+        for p in members:
+            out.setdefault((area, p.bounce_composition()), []).append(p)
     return out
 
 

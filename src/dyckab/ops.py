@@ -5,11 +5,18 @@ absorbing element BOTTOM, and maps BOTTOM to BOTTOM.  Row/column indices
 outside 1..n are usage errors (ValueError), kept distinct from the semantic
 failure BOTTOM.
 
+Each operator is one edit of the row starts x (x_r is the start of row r,
+rows 1-based) followed by at most one validity check of the result.  The
+height of column c is h_c = bisect_left(x, c), the number of rows that
+start left of c.
+
 Cell operators:
-  add_area_cell(p, r)      one cell to the left of the path in row r
-  remove_area_cell(p, r)   its inverse
-  add_column_cell(p, c)    one cell on top of column c
-  remove_column_cell(p, c) its inverse
+  add_area_cell(p, r)      one cell to the left of the path in row r:
+                           x_r -= 1
+  remove_area_cell(p, r)   its inverse: x_r += 1
+  add_column_cell(p, c)    one cell on top of column c: row h_c + 1 moves
+                           from start c to c - 1
+  remove_column_cell(p, c) its inverse: row h_c moves from c - 1 to c
 
 Compound operators (i indexes bounce points):
   shift(p, i)         moves the i-th bounce point down one; area fixed,
@@ -22,7 +29,9 @@ Compound operators (i indexes bounce points):
 
 from __future__ import annotations
 
-from .paths import DyckPath, is_valid_row_starts
+from bisect import bisect_left
+
+from .paths import _path, _row_starts_ok
 
 
 class Bottom:
@@ -50,15 +59,14 @@ def is_bottom(value) -> bool:
 
 
 def _check_index(path, i, what):
-    if not isinstance(i, int) or i < 1 or i > path.n:
+    if not isinstance(i, int) or isinstance(i, bool) or i < 1 or i > path.n:
         raise ValueError(f"{what} {i!r} out of range 1..{path.n}")
 
 
-def _path_from_x(x):
-    p = DyckPath.__new__(DyckPath)
-    p._x = tuple(x)
-    p._word = None
-    return p
+def _checked(x):
+    """The path with row starts ``x``, or BOTTOM when they are invalid."""
+    x = tuple(x)
+    return _path(x) if _row_starts_ok(x)[0] else BOTTOM
 
 
 # -- single-cell operators ------------------------------------------------
@@ -72,7 +80,7 @@ def add_area_cell(path, row):
     xr = x[row - 1] - 1
     if xr < 0 or (row >= 2 and x[row - 2] > xr):
         return BOTTOM
-    return _path_from_x(x[: row - 1] + (xr,) + x[row:])
+    return _path(x[: row - 1] + (xr,) + x[row:])
 
 
 def remove_area_cell(path, row):
@@ -83,30 +91,33 @@ def remove_area_cell(path, row):
     xr = x[row - 1] + 1
     if xr > row - 1 or (row < path.n and x[row] < xr):
         return BOTTOM
-    return _path_from_x(x[: row - 1] + (xr,) + x[row:])
+    return _path(x[: row - 1] + (xr,) + x[row:])
 
 
 def add_column_cell(path, col):
+    """Row h_c + 1 moves from start c to c - 1; BOTTOM unless that row
+    exists and starts at c."""
     if path is BOTTOM:
         return BOTTOM
     _check_index(path, col, "column")
-    n = path.n
-    h = list(path.column_heights())
-    if col == n or h[col - 1] + 1 > h[col]:
+    x = path.row_starts
+    k = bisect_left(x, col)  # 0-based index of row h_c + 1
+    if k == path.n or x[k] != col:
         return BOTTOM
-    h[col - 1] += 1
-    return DyckPath.from_column_heights(h)
+    return _path(x[:k] + (col - 1,) + x[k + 1 :])
 
 
 def remove_column_cell(path, col):
+    """Row k = h_c moves from start c - 1 to c; BOTTOM unless k >= c + 1
+    and that row starts at c - 1."""
     if path is BOTTOM:
         return BOTTOM
     _check_index(path, col, "column")
-    h = list(path.column_heights())
-    if h[col - 1] - 1 < col or (col >= 2 and h[col - 2] > h[col - 1] - 1):
+    x = path.row_starts
+    k = bisect_left(x, col)
+    if k < col + 1 or x[k - 1] != col - 1:
         return BOTTOM
-    h[col - 1] -= 1
-    return DyckPath.from_column_heights(h)
+    return _path(x[: k - 1] + (col,) + x[k:])
 
 
 # -- shift family ----------------------------------------------------------
@@ -115,10 +126,12 @@ def remove_column_cell(path, col):
 def shift(path, i):
     """Trade the cells of row b_i for cells of column b_i.
 
-    Succeeds only if the path touches its bounce path at (b_{i-1}, b_i - 1)
-    and the s = b_{i+1} - h(b_i) cell moves all stay inside the Dyck
-    region; then area is unchanged, bounce grows by one, and only the i-th
-    bounce point moves (down by one).
+    With r = b_i, the s rows h_r + 1 .. b_{i+1} are exactly the rows that
+    start at r.  The move sets x_r += s and gives those s rows start
+    r - 1.  BOTTOM when i >= m, when the path misses its bounce path at
+    the corner (b_{i-1}, b_i - 1), when s = 0, or when the result is not
+    a Dyck path; otherwise area is unchanged, bounce grows by one, and
+    only the i-th bounce point moves (down by one).
     """
     if path is BOTTOM:
         return BOTTOM
@@ -127,62 +140,49 @@ def shift(path, i):
     m = len(b) - 1
     if i >= m:
         return BOTTOM
-    h = path.column_heights()
-    if i >= 2 and h[b[i - 1] - 1] == b[i]:
+    x = path.row_starts
+    r = b[i]
+    if i >= 2 and bisect_left(x, b[i - 1]) == r:
         return BOTTOM
-    s = b[i + 1] - h[b[i] - 1]
+    lo = bisect_left(x, r)
+    s = b[i + 1] - lo
     if s < 1:
         return BOTTOM
-    cur = path
-    for _ in range(s):
-        cur = remove_area_cell(cur, b[i])
-        if cur is BOTTOM:
-            return BOTTOM
-    for _ in range(s):
-        cur = add_column_cell(cur, b[i])
-        if cur is BOTTOM:
-            return BOTTOM
-    return cur
+    y = list(x)
+    y[r - 1] += s
+    y[lo : b[i + 1]] = [r - 1] * s
+    return _checked(y)
 
 
 def unshift(path, i):
     """Inverse of shift; BOTTOM when no valid preimage exists.
 
-    The move count is read off as the east run leaving (b_{i-1}, b_i) in
-    the given path, and the candidate preimage is verified by applying
-    shift forward.
+    With c = b_i, the preimage's i-th bounce point is c + 1 and the move
+    count s is the east run leaving (b_{i-1}, c).  The candidate sets
+    row c + 1 to start b_{i-1} and gives rows b_{i+1} - s + 1 .. b_{i+1}
+    start c + 1; it is verified by applying shift forward.
     """
     if path is BOTTOM:
         return BOTTOM
     _check_index(path, i, "bounce index")
     b = path.bounce_points()
     m = len(b) - 1
-    if i > m:
+    if i >= m:
         return BOTTOM
-    c = b[i]  # preimage's i-th bounce point is c + 1
-    if c + 1 > path.n:
-        return BOTTOM
+    c = b[i]
     x = path.row_starts
-    run_lo = x[c - 1] if c >= 1 else 0
-    run_hi = x[c] if c < path.n else path.n
-    if not (run_lo <= b[i - 1] <= run_hi):
+    if not (x[c - 1] <= b[i - 1] <= x[c]):
         return BOTTOM
-    s = run_hi - b[i - 1]
+    s = x[c] - b[i - 1]
     if s < 1:
         return BOTTOM
-    col = c + 1
-    cur = path
-    for _ in range(s):
-        cur = remove_column_cell(cur, col)
-        if cur is BOTTOM:
-            return BOTTOM
-    for _ in range(s):
-        cur = add_area_cell(cur, col)
-        if cur is BOTTOM:
-            return BOTTOM
-    if shift(cur, i) != path:
+    y = list(x)
+    y[c] = b[i - 1]
+    y[b[i + 1] - s : b[i + 1]] = [c + 1] * s
+    candidate = _checked(y)
+    if candidate is BOTTOM or shift(candidate, i) != path:
         return BOTTOM
-    return cur
+    return candidate
 
 
 def bounce_boost(path, i, k):
@@ -258,9 +258,7 @@ def up(path, i):
             x[r - 1] = cut
     for j in range(1, u + 1):
         x[b[i + 1] - u + j - 1] -= beta[j - 1]
-    if not is_valid_row_starts(x):
-        return BOTTOM
-    return _path_from_x(x)
+    return _checked(x)
 
 
 def down(path, i):
@@ -301,10 +299,8 @@ def down(path, i):
     for r in range(c + 2, top + 1):
         t = r - (c + 1)
         xp[r - 1] = b[i - 1] + 1 + sum(1 for v in beta if v <= t)
-    if not is_valid_row_starts(xp):
-        return BOTTOM
-    candidate = _path_from_x(xp)
-    if up(candidate, i) != path:
+    candidate = _checked(xp)
+    if candidate is BOTTOM or up(candidate, i) != path:
         return BOTTOM
     return candidate
 

@@ -192,19 +192,12 @@ def check_bottom_absorption(n_max):
     return True, None
 
 
-def _classes(n):
-    out = {}
-    for p in paths.enumerate_paths(n):
-        out.setdefault((p.area(), p.bounce_composition()), []).append(p)
-    return out
-
-
 def check_shape_lemmas(n_max):
     """Classes refusing every down have strict-partition compositions and
     area >= bounce; classes refusing every up consist of minimal gapless
     paths ending in a part 1 and have area <= bounce."""
     for n in range(1, min(n_max, 8) + 1):
-        for (area, alpha), members in _classes(n).items():
+        for (area, alpha), members in extremal._class_index(n).items():
             bounce = members[0].bounce()
             no_down = not any(
                 ops.down(t, j) is not BOTTOM

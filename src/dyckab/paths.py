@@ -15,6 +15,7 @@ enumeration order.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from typing import Iterator
 
 
@@ -75,14 +76,8 @@ class DyckPath:
     @classmethod
     def from_column_heights(cls, heights) -> "DyckPath":
         h = tuple(heights)
-        n = len(h)
-        x = []
-        c = 0
-        for r in range(1, n + 1):
-            while c < n and h[c] < r:
-                c += 1
-            x.append(c)
-        path = cls(x)
+        # row r starts after the columns lower than r
+        path = cls(bisect_left(h, r) for r in range(1, len(h) + 1))
         if path.column_heights() != h:
             raise ValueError(f"{h!r} is not a weakly increasing height profile")
         return path
@@ -139,9 +134,13 @@ class DyckPath:
 
     def __lt__(self, other):
         # row-starts order == word order with N < E
+        if not isinstance(other, DyckPath):
+            return NotImplemented
         return self._x < other._x
 
     def __le__(self, other):
+        if not isinstance(other, DyckPath):
+            return NotImplemented
         return self._x <= other._x
 
     def __repr__(self):
@@ -158,26 +157,14 @@ class DyckPath:
         return (n * (n - 1)) // 2 - sum(self._x)
 
     def column_heights(self) -> tuple:
-        """Cells below the path in each column: h[c-1] for column c."""
-        n = self.n
-        cnt = [0] * (n + 1)
-        for v in self._x:
-            cnt[v] += 1
-        h = []
-        run = 0
-        for c in range(1, n + 1):
-            run += cnt[c - 1]
-            h.append(run)
-        return tuple(h)
+        """Cells below the path in each column: h[c-1] for column c, the
+        number of rows that start left of c."""
+        x = self._x
+        return tuple([bisect_left(x, c) for c in range(1, len(x) + 1)])
 
     def bounce_points(self) -> tuple:
         """Diagonal touch heights (b_0=0, ..., b_m=n) of the bounce path."""
-        n = self.n
-        h = self.column_heights()
-        pts = [0]
-        while pts[-1] < n:
-            pts.append(h[pts[-1]])
-        return tuple(pts)
+        return tuple(_bounce_points(self._x))
 
     def bounce_composition(self) -> tuple:
         pts = self.bounce_points()
@@ -226,6 +213,7 @@ class DyckPath:
 
 
 def _row_starts_ok(x):
+    """(True, None) for valid row starts, else (False, first bad row)."""
     prev = 0
     for r, xr in enumerate(x, 1):
         if xr < prev or xr > r - 1:
@@ -234,8 +222,27 @@ def _row_starts_ok(x):
     return True, None
 
 
-def is_valid_row_starts(x) -> bool:
-    return _row_starts_ok(tuple(x))[0]
+def _path(x) -> DyckPath:
+    """The path with row starts ``x``, a tuple already known to be valid."""
+    p = DyckPath.__new__(DyckPath)
+    p._x = x
+    p._word = None
+    return p
+
+
+def _bounce_points(x) -> list:
+    """Bounce points of the path with row starts ``x``.
+
+    The bounce path leaving the diagonal at b_j climbs through every row
+    that starts at or left of column b_j, so b_{j+1} = bisect_right(x, b_j).
+    """
+    n = len(x)
+    pts = [0]
+    b = 0
+    while b < n:
+        b = bisect_right(x, b)
+        pts.append(b)
+    return pts
 
 
 # -- enumeration -------------------------------------------------------
@@ -246,51 +253,36 @@ def enumerate_paths(n: int) -> Iterator[DyckPath]:
     if n < 0:
         raise ValueError("semilength must be nonnegative")
     for x in _iter_row_starts(n):
-        p = DyckPath.__new__(DyckPath)
-        p._x = x
-        p._word = None
-        yield p
+        yield _path(x)
 
 
 def _iter_row_starts(n):
-    x = []
+    """Valid row-start tuples in lexicographic order, by successor.
 
-    def rec():
-        r = len(x)
-        if r == n:
-            yield tuple(x)
+    The successor raises the last row that is below its bound r - 1 and
+    lowers every row above it to the new value.
+    """
+    x = [0] * n
+    while True:
+        yield tuple(x)
+        j = n - 1
+        while j > 0 and x[j] == j:
+            j -= 1
+        if j <= 0:
             return
-        lo = x[-1] if x else 0
-        for v in range(lo, r + 1):
-            x.append(v)
-            yield from rec()
-            x.pop()
-
-    yield from rec()
+        x[j:] = [x[j] + 1] * (n - j)
 
 
 def iter_area_bounce(n: int) -> Iterator[tuple]:
     """(area, bounce) over all paths of semilength n, without path objects.
 
     The brute-force oracle for the polynomial tables in `qbell`; the
-    per-path work is a single O(n) sweep.
+    per-path work is one bisect sweep over the bounce points.
     """
     total = (n * (n - 1)) // 2
     for x in _iter_row_starts(n):
-        cnt = [0] * (n + 1)
-        for v in x:
-            cnt[v] += 1
-        h = [0] * (n + 1)
-        run = 0
-        for c in range(1, n + 1):
-            run += cnt[c - 1]
-            h[c] = run
-        b = 0
-        bounce = 0
-        while b < n:
-            b = h[b + 1]
-            bounce += n - b
-        yield total - sum(x), bounce
+        pts = _bounce_points(x)
+        yield total - sum(x), n * (len(pts) - 1) - sum(pts)
 
 
 def catalan(n: int) -> int:

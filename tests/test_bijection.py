@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dyckab.paths import (
     DyckPath,
@@ -6,7 +8,7 @@ from dyckab.paths import (
     enumerate_paths,
     partitions,
 )
-from dyckab.ops import BOTTOM
+from dyckab.ops import BOTTOM, add_area_cell
 from dyckab.bijection import (
     Certificate,
     NotInDomainError,
@@ -77,6 +79,37 @@ def test_index_set_containment():
 
 
 # -- operator bundles -----------------------------------------------------------
+
+
+def reference_apply_area_map(lam, count_map):
+    cur = blocks(lam)
+    for (i, r) in sorted(count_map):
+        for _ in range(count_map[(i, r)]):
+            cur = add_area_cell(cur, row_map(lam, i, r))
+            if cur is BOTTOM:
+                return BOTTOM
+    return cur
+
+
+@st.composite
+def partitions_with_counts(draw):
+    lam = draw(st.sampled_from(list(partitions(draw(st.integers(1, 11))))))
+    keys = row_index_set(lam)
+    values = draw(st.lists(st.integers(0, 4), min_size=len(keys), max_size=len(keys)))
+    return lam, dict(zip(keys, values))
+
+
+@given(partitions_with_counts())
+def test_area_map_matches_cell_by_cell_reference(case):
+    lam, count_map = case
+    assert apply_area_map(lam, count_map) == reference_apply_area_map(lam, count_map)
+
+
+def test_area_map_rejects_bad_counts():
+    with pytest.raises(ValueError):
+        apply_area_map((6, 3, 3, 1), {(1, 4): 1})
+    with pytest.raises(ValueError):
+        apply_area_map(WORKED_PARTITION, {(1, 1): -1})
 
 
 def test_area_map_zero_is_block_path():

@@ -268,13 +268,20 @@ def test_render_subcommand(capsys):
 
 
 def test_module_entry_point():
+    import os
     import subprocess
     import sys
 
+    import dyckab
+
+    # `python -m` searches the working directory first, so the child
+    # imports the package this process imported
+    src = os.path.dirname(os.path.dirname(dyckab.__file__))
     proc = subprocess.run(
         [sys.executable, "-m", "dyckab.cli", "stats", "--path", FIGURE_ONE],
         capture_output=True,
         text=True,
+        cwd=src,
     )
     assert proc.returncode == 0
     assert "area: 6" in proc.stdout
@@ -282,6 +289,7 @@ def test_module_entry_point():
         [sys.executable, "-m", "dyckab.cli", "stats", "--path", "EN"],
         capture_output=True,
         text=True,
+        cwd=src,
     )
     assert proc.returncode == 2
     assert proc.stderr.strip()

@@ -32,6 +32,90 @@ def bounce_index_count(p):
     return len(p.bounce_points()) - 1
 
 
+# -- reference: the operators one cell at a time on the height profile -------
+
+
+def reference_add_column_cell(path, col):
+    h = list(path.column_heights())
+    if col == path.n or h[col - 1] + 1 > h[col]:
+        return BOTTOM
+    h[col - 1] += 1
+    return DyckPath.from_column_heights(h)
+
+
+def reference_remove_column_cell(path, col):
+    h = list(path.column_heights())
+    if h[col - 1] - 1 < col or (col >= 2 and h[col - 2] > h[col - 1] - 1):
+        return BOTTOM
+    h[col - 1] -= 1
+    return DyckPath.from_column_heights(h)
+
+
+def reference_shift(path, i):
+    b = path.bounce_points()
+    if i >= len(b) - 1:
+        return BOTTOM
+    h = path.column_heights()
+    if i >= 2 and h[b[i - 1] - 1] == b[i]:
+        return BOTTOM
+    s = b[i + 1] - h[b[i] - 1]
+    if s < 1:
+        return BOTTOM
+    cur = path
+    for _ in range(s):
+        cur = remove_area_cell(cur, b[i])
+        if cur is BOTTOM:
+            return BOTTOM
+    for _ in range(s):
+        cur = reference_add_column_cell(cur, b[i])
+        if cur is BOTTOM:
+            return BOTTOM
+    return cur
+
+
+def reference_unshift(path, i):
+    b = path.bounce_points()
+    if i > len(b) - 1:
+        return BOTTOM
+    c = b[i]
+    if c + 1 > path.n:
+        return BOTTOM
+    x = path.row_starts
+    run_lo = x[c - 1] if c >= 1 else 0
+    run_hi = x[c] if c < path.n else path.n
+    if not (run_lo <= b[i - 1] <= run_hi):
+        return BOTTOM
+    s = run_hi - b[i - 1]
+    if s < 1:
+        return BOTTOM
+    cur = path
+    for _ in range(s):
+        cur = reference_remove_column_cell(cur, c + 1)
+        if cur is BOTTOM:
+            return BOTTOM
+    for _ in range(s):
+        cur = add_area_cell(cur, c + 1)
+        if cur is BOTTOM:
+            return BOTTOM
+    if reference_shift(cur, i) != path:
+        return BOTTOM
+    return cur
+
+
+REFERENCE_PAIRS = (
+    (add_column_cell, reference_add_column_cell),
+    (remove_column_cell, reference_remove_column_cell),
+    (shift, reference_shift),
+    (unshift, reference_unshift),
+)
+
+
+def assert_matches_reference(p):
+    for i in range(1, p.n + 1):
+        for fn, reference in REFERENCE_PAIRS:
+            assert fn(p, i) == reference(p, i), (fn.__name__, p.word, i)
+
+
 # -- cell operators -----------------------------------------------------------
 
 
@@ -67,13 +151,13 @@ def test_remove_column_cell():
 def test_out_of_range_is_usage_error_not_bottom():
     p = w("NNEE")
     for fn in (add_area_cell, remove_area_cell, add_column_cell, remove_column_cell):
-        with pytest.raises(ValueError):
-            fn(p, 0)
-        with pytest.raises(ValueError):
-            fn(p, 3)
+        for bad in (0, 3, True):
+            with pytest.raises(ValueError):
+                fn(p, bad)
     for fn in (shift, unshift, up, down):
-        with pytest.raises(ValueError):
-            fn(p, 0)
+        for bad in (0, True):
+            with pytest.raises(ValueError):
+                fn(p, bad)
 
 
 def test_cell_ops_invert_each_other_exhaustive():
@@ -87,6 +171,18 @@ def test_cell_ops_invert_each_other_exhaustive():
             if q is not BOTTOM:
                 assert q.area() == p.area() + 1
                 assert remove_column_cell(q, r) == p
+
+
+def test_row_start_edits_match_reference_exhaustive():
+    for n in range(1, 10):
+        for p in enumerate_paths(n):
+            assert_matches_reference(p)
+
+
+@given(dyck_paths(max_n=30))
+@settings(max_examples=100, deadline=None)
+def test_row_start_edits_match_reference_random(p):
+    assert_matches_reference(p)
 
 
 # -- shift ---------------------------------------------------------------------

@@ -200,6 +200,18 @@ def test_enumeration_order_and_uniqueness():
         assert paths == sorted(paths)
 
 
+def test_enumeration_is_iterative():
+    # a recursive enumerator would exceed the interpreter's recursion limit
+    assert next(enumerate_paths(3000)).word == "N" * 3000 + "E" * 3000
+
+
+def test_ordering_rejects_non_paths():
+    p = DyckPath.from_word("NE")
+    for compare in (lambda: p < 3, lambda: p <= 3, lambda: 3 > p):
+        with pytest.raises(TypeError):
+            compare()
+
+
 def test_iter_area_bounce_agrees_with_objects():
     for n in range(8):
         fast = sorted(iter_area_bounce(n))
@@ -284,6 +296,10 @@ def test_stats_consistency(p):
     assert p.area() == sum(p.column_heights()) - n * (n + 1) // 2
     assert sum(p.bounce_composition()) == n
     assert p.bounce() == sum(n - b for b in p.bounce_points()[1:])
+    # b_{j+1} is the height of column b_j + 1
+    h = p.column_heights()
+    pts = p.bounce_points()
+    assert all(pts[j + 1] == h[pts[j]] for j in range(len(pts) - 1))
     bp = p.bounce_path()
     assert bp.area() <= p.area()
     assert bp.bounce() == p.bounce()
