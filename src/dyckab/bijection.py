@@ -6,23 +6,28 @@ naming rows where area cells can be stacked.  A count map assigns a
 nonnegative integer to each index.  The same count map f, read through the
 row map of lam on one side and through the bounce map of the conjugate
 lam' on the other, produces a pair of paths whose area and bounce
-statistics are exchanged.
+statistics are exchanged.  Two edits of a start path build every side:
+`_stack` stacks area cells in rows, `_boost` boosts bounce points.
 
 A certificate (lam, f) is valid when f is supported on the bounce index
 set of lam', each block of values is weakly decreasing and strictly
 bounded by the matching distinct part of lam, and the bounce-side image is
-a minimal path.  The flip map sends the area-side path of a certificate to
-its bounce-side path; `classify` decides membership of an arbitrary path
-and returns certificates.
+a minimal path.  One rule, `_certified_image`, checks all of this and
+returns that image (None when the pair is no certificate).  The flip map
+sends the area-side path of a certificate to its bounce-side path, which
+the area-side decode already built; `classify` decides membership of an
+arbitrary path and returns certificates.
 
 The extended flip composes both directions: area cells via f on top of
 bounce moves via g (and vice versa), for pairs of certificates whose
-touched row ranges do not interfere.
+touched row ranges do not interfere.  The pairing, its decode and the
+two-stage flip reuse the bounce-side images of f and g from the rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement, product
 
 from .paths import (
     DyckPath,
@@ -32,7 +37,7 @@ from .paths import (
     multiplicity,
     partitions,
 )
-from .ops import BOTTOM, _checked, add_area_cell, bounce_boost
+from .ops import BOTTOM, _checked, bounce_boost
 
 
 class NotInDomainError(ValueError):
@@ -71,15 +76,19 @@ class Certificate:
 # -- index sets and maps ---------------------------------------------------
 
 
+def _block_widths(lam) -> list:
+    """Width of block i = 1 .. l-1: the multiplicity of the (i+1)-th
+    smallest distinct part of lam."""
+    return [multiplicity(lam, p) for p in reversed(distinct_parts(lam)[:-1])]
+
+
 def bounce_index_set(lam) -> list:
     """(i, r) with 1 <= i <= l-1 and r up to the multiplicity of the
     (i+1)-th smallest distinct part (l = number of distinct parts)."""
-    bar = distinct_parts(lam)
-    l = len(bar)
     return [
         (i, r)
-        for i in range(1, l)
-        for r in range(1, multiplicity(lam, bar[l - i - 1]) + 1)
+        for i, width in enumerate(_block_widths(lam), 1)
+        for r in range(1, width + 1)
     ]
 
 
@@ -114,16 +123,16 @@ def row_map(lam, i, r) -> int:
 # -- the two operator bundles ----------------------------------------------
 
 
-def apply_area_map(lam, count_map):
-    """Stack count_map(i, r) cells in row row_map(lam, i, r) of the block
-    path of lam.
+def _stack(path, lam, count_map):
+    """Stack count_map(i, r) cells in row row_map(lam, i, r) of ``path``.
 
     Each count is subtracted from that row's start; the result is checked
     once.  Stacking cell by cell in ascending rows gives the same answer,
     since each added cell is checked only against the row below it.
     """
-    lam = tuple(lam)
-    x = list(DyckPath.from_composition(sum(lam), lam).row_starts)
+    if path is BOTTOM:
+        return BOTTOM
+    x = list(path.row_starts)
     for (i, r), v in count_map.items():
         row = row_map(lam, i, r)
         if v < 0:
@@ -132,58 +141,92 @@ def apply_area_map(lam, count_map):
     return _checked(x)
 
 
+def _boost(path, lam, count_map):
+    """Boost bounce point bounce_map(lam, i, r) of ``path`` by
+    count_map(i, r), indices ordered by i then r."""
+    for (i, r) in sorted(count_map):
+        k = count_map[(i, r)]
+        if k:
+            path = bounce_boost(path, bounce_map(lam, i, r), k)
+            if path is BOTTOM:
+                return BOTTOM
+    return path
+
+
+def apply_area_map(lam, count_map):
+    """Stack count_map(i, r) cells in row row_map(lam, i, r) of the block
+    path of lam."""
+    lam = tuple(lam)
+    return _stack(DyckPath.from_composition(sum(lam), lam), lam, count_map)
+
+
 def apply_bounce_map(lam, count_map):
     """Boost bounce point bounce_map(lam, i, r) by count_map(i, r), indices
     ordered by i then r, starting from the block path of lam."""
     lam = tuple(lam)
-    n = sum(lam)
-    cur = DyckPath.from_composition(n, lam)
-    for (i, r) in sorted(count_map):
-        k = count_map[(i, r)]
-        if k:
-            cur = bounce_boost(cur, bounce_map(lam, i, r), k)
-            if cur is BOTTOM:
-                return BOTTOM
-    return cur
+    return _boost(DyckPath.from_composition(sum(lam), lam), lam, count_map)
 
 
 # -- certificates -----------------------------------------------------------
 
 
-def _count_map_conditions(lam, count_map) -> bool:
-    """Support on the bounce index set of lam', per-block weakly decreasing
-    values, first value strictly below the matching distinct part of lam."""
+def _certified_image(lam, count_map):
+    """The bounce-side image of (lam, count_map) when the pair is a
+    certificate, else None.
+
+    lam must be a partition and count_map supported on the bounce index
+    set of lam', with nonnegative values, weakly decreasing in each block
+    and the first below the matching distinct part of lam; the image,
+    built once, must be a minimal path.
+    """
+    if not is_partition(lam):
+        return None
     lamp = conjugate(lam)
-    bar = distinct_parts(lam)
-    barp = distinct_parts(lamp)
-    l = len(barp)
     allowed = set(bounce_index_set(lamp))
-    if any(count_map[k] and k not in allowed for k in count_map):
-        return False
-    if any(v < 0 for v in count_map.values()):
-        return False
-    for i in range(1, l):
-        width = multiplicity(lamp, barp[l - i - 1])
-        prev = None
-        for r in range(1, width + 1):
-            v = count_map.get((i, r), 0)
-            if r == 1 and v >= bar[i - 1]:
-                return False
-            if prev is not None and v > prev:
-                return False
-            prev = v
-    return True
+    if any((v and k not in allowed) or v < 0 for k, v in count_map.items()):
+        return None
+    blocks = zip(_block_widths(lamp), distinct_parts(lam))
+    for i, (width, bound) in enumerate(blocks, 1):
+        values = [count_map.get((i, r), 0) for r in range(1, width + 1)]
+        if values[0] >= bound or any(u < v for u, v in zip(values, values[1:])):
+            return None
+    return _minimal_image(lamp, count_map)
+
+
+def _minimal_image(lamp, count_map):
+    """The rule's last clause: apply_bounce_map(lamp, count_map) when it
+    is a minimal path, else None."""
+    image = apply_bounce_map(lamp, count_map)
+    return image if image is not BOTTOM and image.is_minimal() else None
 
 
 def is_certificate(lam, count_map) -> bool:
     """Membership test for the certificate set of n = |lam|."""
-    lam = tuple(lam)
-    if not is_partition(lam):
-        return False
-    if not _count_map_conditions(lam, count_map):
-        return False
-    image = apply_bounce_map(conjugate(lam), count_map)
-    return image is not BOTTOM and image.is_minimal()
+    return _certified_image(tuple(lam), count_map) is not None
+
+
+def _certified(n: int):
+    """(certificate, bounce-side image) for every certificate with
+    |lam| = n: partitions of n, then per block the weakly decreasing
+    values below its bound, largest first, earlier blocks outermost.
+    These maps meet the rule's bounds by construction, so only the image
+    is checked."""
+    for lam in partitions(n):
+        lamp = conjugate(lam)
+        blocks = [
+            combinations_with_replacement(range(bound - 1, -1, -1), width)
+            for width, bound in zip(_block_widths(lamp), distinct_parts(lam))
+        ]
+        for values in product(*blocks):
+            f = {
+                (i, r): v
+                for i, block in enumerate(values, 1)
+                for r, v in enumerate(block, 1)
+                if v
+            }
+            image = _minimal_image(lamp, f)
+            if image is not None:
+                yield Certificate.make(lam, f), image
 
 
 def iter_certificates(n: int):
@@ -192,56 +235,16 @@ def iter_certificates(n: int):
     Iterates partitions of n, then count maps within the stated bounds,
     keeping those whose bounce-side image is a minimal path.
     """
-    for lam in partitions(n):
-        lamp = conjugate(lam)
-        bar = distinct_parts(lam)
-        barp = distinct_parts(lamp)
-        l = len(barp)
-        blocks = []
-        for i in range(1, l):
-            width = multiplicity(lamp, barp[l - i - 1])
-            blocks.append((i, width, bar[i - 1]))
-
-        def weakly_decreasing(width, bound):
-            def rec(r, mx):
-                if r == width:
-                    yield ()
-                    return
-                for v in range(mx, -1, -1):
-                    for rest in rec(r + 1, v):
-                        yield (v,) + rest
-
-            yield from rec(0, bound - 1)
-
-        def combos(idx):
-            if idx == len(blocks):
-                yield {}
-                return
-            i, width, bound = blocks[idx]
-            for values in weakly_decreasing(width, bound):
-                for rest in combos(idx + 1):
-                    d = dict(rest)
-                    for r, v in enumerate(values, 1):
-                        if v:
-                            d[(i, r)] = v
-                    yield d
-
-        for f in combos(0):
-            image = apply_bounce_map(lamp, f)
-            if image is BOTTOM or not image.is_minimal():
-                continue
-            yield Certificate.make(lam, f)
+    for cert, _ in _certified(n):
+        yield cert
 
 
 def flip_sets(n: int):
     """(area side, bounce side) of the flip map as path -> Certificate maps."""
     area_side, bounce_side = {}, {}
-    for cert in iter_certificates(n):
-        lam, f = cert.partition, cert.count_map
-        left = apply_area_map(lam, f)
-        right = apply_bounce_map(conjugate(lam), f)
-        area_side[left] = cert
-        bounce_side[right] = cert
+    for cert, image in _certified(n):
+        area_side[apply_area_map(cert.partition, cert.count_map)] = cert
+        bounce_side[image] = cert
     return area_side, bounce_side
 
 
@@ -264,18 +267,21 @@ class Classification:
         return "neither"
 
 
-def _decode_area_side(path) -> Certificate | None:
-    """Bounce composition must be a partition lam; floating cells must sit
+def _decode_area_side(path):
+    """(certificate, bounce-side image), or None.
+
+    Bounce composition must be a partition lam; floating cells must sit
     exactly in the rows named by the bounce index set of lam', with
-    per-row counts forming a valid certificate that rebuilds the path."""
-    alpha = path.bounce_composition()
-    if not is_partition(alpha):
+    per-row counts forming a valid certificate.  The counts are the path's
+    area sequence minus that of the block path of lam, so stacking them
+    on the block path rebuilds the path.
+    """
+    lam = path.bounce_composition()
+    if not is_partition(lam):
         return None
-    lam = alpha
-    lamp = conjugate(lam)
     base = DyckPath.from_composition(path.n, lam).area_sequence()
     a = path.area_sequence()
-    named = {row_map(lam, i, r): (i, r) for (i, r) in bounce_index_set(lamp)}
+    named = {row_map(lam, i, r): (i, r) for (i, r) in bounce_index_set(conjugate(lam))}
     f = {}
     for row in range(1, path.n + 1):
         extra = a[row - 1] - base[row - 1]
@@ -285,17 +291,16 @@ def _decode_area_side(path) -> Certificate | None:
             if row not in named:
                 return None
             f[named[row]] = extra
-    if not is_certificate(lam, f):
+    image = _certified_image(lam, f)
+    if image is None:
         return None
-    if apply_area_map(lam, f) != path:
-        return None
-    return Certificate.make(lam, f)
+    return Certificate.make(lam, f), image
 
 
 def _decode_bounce_side(path) -> Certificate | None:
     """Minimal paths only: sort the bounce composition to mu, then each
     count is the total shortfall of the parts passed over by a moved part;
-    the certificate must rebuild the path."""
+    the certificate's bounce-side image must be the path itself."""
     if not path.is_minimal():
         return None
     alpha = path.bounce_composition()
@@ -311,9 +316,7 @@ def _decode_bounce_side(path) -> Certificate | None:
             if v:
                 f[(i, r)] = v
     lam = conjugate(mu)
-    if not is_certificate(lam, f):
-        return None
-    if apply_bounce_map(mu, f) != path:
+    if _certified_image(lam, f) != path:
         return None
     return Certificate.make(lam, f)
 
@@ -326,21 +329,17 @@ def classify(path) -> Classification:
     side; anything else is in neither.  Minimal block paths of partitions
     belong to both sides (zero count map each way).
     """
-    alpha = path.bounce_composition()
-    af = _decode_area_side(path) if is_partition(alpha) else None
-    bf = _decode_bounce_side(path)
-    return Classification(af, bf)
+    area = _decode_area_side(path)
+    return Classification(area[0] if area else None, _decode_bounce_side(path))
 
 
 def phi(path) -> DyckPath:
     """The area-bounce flip: area-side path of a certificate to its
     bounce-side path."""
-    cert = _decode_area_side(path)
-    if cert is None:
+    decoded = _decode_area_side(path)
+    if decoded is None:
         raise NotInDomainError(f"{path.word} is not an area-side flip member")
-    image = apply_bounce_map(conjugate(cert.partition), cert.count_map)
-    assert image is not BOTTOM
-    return image
+    return decoded[1]
 
 
 def phi_inverse(path) -> DyckPath:
@@ -374,81 +373,73 @@ class ExtendedCertificate:
         return {(i, r): v for (i, r, v) in self.g_counts}
 
 
-def _changed_rows(base, other):
-    return [
-        r
-        for r in range(1, base.n + 1)
-        if base.row_starts[r - 1] != other.row_starts[r - 1]
-    ]
+def _rows_clear(lam, count_map, image) -> bool:
+    """Every row the nonzero count_map stacks in (rows of lam) lies
+    strictly below every row where ``image`` differs from the block path
+    of lam; False when it does not differ."""
+    base = DyckPath.from_composition(image.n, lam).row_starts
+    changed = [r for r, (u, v) in enumerate(zip(base, image.row_starts), 1) if u != v]
+    touched = [row_map(lam, i, r) for (i, r), v in count_map.items() if v]
+    return bool(changed) and max(touched) < min(changed)
 
 
-def _rows_clear(lam_for_rows, count_map, image_base, image):
-    """Every row touched by count_map lies strictly below every row the
-    bounce moves changed."""
-    touched = [
-        row_map(lam_for_rows, i, r) for (i, r) in count_map if count_map[(i, r)]
-    ]
-    if not touched:
-        return True
-    changed = _changed_rows(image_base, image)
-    if not changed:
+def _pair_clear(lam, f, g, f_image, g_image) -> bool:
+    """For certificates f on lam and g on lam' with bounce-side images
+    f_image and g_image: |f| >= |g| and, when g is nonzero, the row ranges
+    clear both ways."""
+    if sum(f.values()) < sum(g.values()):
         return False
-    return max(touched) < min(changed)
+    if not any(g.values()):
+        return True
+    return _rows_clear(conjugate(lam), g, f_image) and _rows_clear(lam, f, g_image)
 
 
 def extended_pair_valid(lam, f, g) -> bool:
     """Both certificates valid, |f| >= |g|, and row ranges clear both ways."""
     lam = tuple(lam)
-    lamp = conjugate(lam)
-    if not (is_certificate(lam, f) and is_certificate(lamp, g)):
+    f_image = _certified_image(lam, f)
+    if f_image is None:
         return False
-    if sum(f.values()) < sum(g.values()):
-        return False
-    n = sum(lam)
-    f_image = apply_bounce_map(lamp, f)
-    g_image = apply_bounce_map(lam, g)
-    base_lamp = DyckPath.from_composition(n, lamp)
-    base_lam = DyckPath.from_composition(n, lam)
-    if any(g.values()) and not _rows_clear(lamp, g, base_lamp, f_image):
-        return False
-    if any(f.values()) and any(g.values()) and not _rows_clear(
-        lam, f, base_lam, g_image
-    ):
-        return False
-    return True
+    g_image = _certified_image(conjugate(lam), g)
+    return g_image is not None and _pair_clear(lam, f, g, f_image, g_image)
+
+
+def _extended(n: int):
+    """(extended certificate, bounce-side image of its f) for |lam| = n:
+    each certificate on lam against each on lam', in enumeration order."""
+    by_partition = {}
+    for cert, image in _certified(n):
+        entry = (cert, cert.count_map, image)
+        by_partition.setdefault(cert.partition, []).append(entry)
+    for lam, firsts in by_partition.items():
+        seconds = by_partition.get(conjugate(lam), [])
+        for fc, f, f_image in firsts:
+            for gc, g, g_image in seconds:
+                if _pair_clear(lam, f, g, f_image, g_image):
+                    yield ExtendedCertificate(lam, fc.counts, gc.counts), f_image
 
 
 def iter_extended_certificates(n: int):
-    by_partition = {}
-    for cert in iter_certificates(n):
-        by_partition.setdefault(cert.partition, []).append(cert)
-    for lam, certs in by_partition.items():
-        lamp = conjugate(lam)
-        for fc in certs:
-            for gc in by_partition.get(lamp, []):
-                if extended_pair_valid(lam, fc.count_map, gc.count_map):
-                    yield ExtendedCertificate(lam, fc.counts, gc.counts)
+    for cert, _ in _extended(n):
+        yield cert
+
+
+def _pair_paths(cert: ExtendedCertificate, f_image):
+    """(sigma, tau) given the bounce-side image of f: sigma boosts the
+    area-side path of f by g, tau stacks g on f_image.  With g nonzero, a
+    BOTTOM on either side is BOTTOM on both."""
+    lam, f, g = cert.partition, cert.f_map, cert.g_map
+    sigma = _boost(apply_area_map(lam, f), lam, g)
+    tau = _stack(f_image, conjugate(lam), g)
+    if g and (sigma is BOTTOM or tau is BOTTOM):
+        return BOTTOM, BOTTOM
+    return sigma, tau
 
 
 def build_extended_pair(cert: ExtendedCertificate):
     """(sigma, tau): area map then bounce moves on one side, bounce moves
     then area map on the other."""
-    lam = cert.partition
-    lamp = conjugate(lam)
-    f, g = cert.f_map, cert.g_map
-    sigma = apply_area_map(lam, f)
-    for (i, r) in sorted(g):
-        if g[(i, r)]:
-            sigma = bounce_boost(sigma, bounce_map(lam, i, r), g[(i, r)])
-            if sigma is BOTTOM:
-                return BOTTOM, BOTTOM
-    tau = apply_bounce_map(lamp, f)
-    for (i, r) in sorted(g):
-        for _ in range(g[(i, r)]):
-            tau = add_area_cell(tau, row_map(lamp, i, r))
-            if tau is BOTTOM:
-                return BOTTOM, BOTTOM
-    return sigma, tau
+    return _pair_paths(cert, apply_bounce_map(conjugate(cert.partition), cert.f_map))
 
 
 def _transplant_floating(path, target_partition):
@@ -466,59 +457,48 @@ def _transplant_floating(path, target_partition):
 
 
 def _decode_extended(path, bounce_stage_first):
-    """Recover (lam, f, g) from a two-stage path.
+    """(sigma, tau) of the extended certificate decoded from a two-stage
+    path, or None.
 
     The floating cells transplanted onto the sorted block path isolate the
-    area-map stage; dropping them isolates the bounce stage.
+    area-map stage; dropping them isolates the bounce stage, whose
+    certificate lives on the conjugate of the sorted parts and whose
+    bounce-side image is the stripped path itself.
     """
-    alpha = path.bounce_composition()
-    sorted_parts = tuple(sorted(alpha, reverse=True))
+    sorted_parts = tuple(sorted(path.bounce_composition(), reverse=True))
     carrier = _transplant_floating(path, sorted_parts)
     if carrier is None:
         return None
-    area_cert = _decode_area_side(carrier)
-    if area_cert is None or area_cert.partition != sorted_parts:
+    area = _decode_area_side(carrier)
+    if area is None or area[0].partition != sorted_parts:
         return None
     stripped = path.bounce_path()
     bounce_cert = _decode_bounce_side(stripped)
     if bounce_cert is None:
         return None
-    if bounce_cert.partition != conjugate(sorted_parts):
-        return None
     if bounce_stage_first:
         # path = block(lam') . B_f A^g: area stage carries g, bounce stage f
-        lam = conjugate(sorted_parts)
-        f, g = bounce_cert.count_map, area_cert.count_map
+        (fc, f_image), (gc, g_image) = (bounce_cert, stripped), area
     else:
         # path = block(lam) . A^f B_g
-        lam = sorted_parts
-        f, g = area_cert.count_map, bounce_cert.count_map
-    if not extended_pair_valid(lam, f, g):
+        (fc, f_image), (gc, g_image) = area, (bounce_cert, stripped)
+    lam = fc.partition
+    if not _pair_clear(lam, fc.count_map, gc.count_map, f_image, g_image):
         return None
-    return ExtendedCertificate(
-        lam, Certificate.make(lam, f).counts, Certificate.make(lam, g).counts
-    )
+    return _pair_paths(ExtendedCertificate(lam, fc.counts, gc.counts), f_image)
 
 
 def gamma(path) -> DyckPath:
     """Two-stage area-bounce flip on extended area-side paths; reduces to
     the plain flip when the second stage is empty."""
-    cert = _decode_extended(path, bounce_stage_first=False)
-    if cert is None:
-        raise NotInDomainError(f"{path.word} is not an extended area-side member")
-    sigma, tau = build_extended_pair(cert)
+    sigma, tau = _decode_extended(path, bounce_stage_first=False) or (BOTTOM, BOTTOM)
     if sigma != path or tau is BOTTOM:
         raise NotInDomainError(f"{path.word} is not an extended area-side member")
     return tau
 
 
 def gamma_inverse(path) -> DyckPath:
-    cert = _decode_extended(path, bounce_stage_first=True)
-    if cert is None:
-        raise NotInDomainError(
-            f"{path.word} is not an extended bounce-side member"
-        )
-    sigma, tau = build_extended_pair(cert)
+    sigma, tau = _decode_extended(path, bounce_stage_first=True) or (BOTTOM, BOTTOM)
     if tau != path or sigma is BOTTOM:
         raise NotInDomainError(
             f"{path.word} is not an extended bounce-side member"
@@ -529,8 +509,8 @@ def gamma_inverse(path) -> DyckPath:
 def extended_flip_sets(n: int):
     """(extended area side, extended bounce side) path -> certificate maps."""
     left, right = {}, {}
-    for cert in iter_extended_certificates(n):
-        sigma, tau = build_extended_pair(cert)
+    for cert, f_image in _extended(n):
+        sigma, tau = _pair_paths(cert, f_image)
         if sigma is BOTTOM or tau is BOTTOM:
             raise AssertionError(f"extended pair failed to build: {cert}")
         left[sigma] = cert

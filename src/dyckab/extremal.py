@@ -162,49 +162,35 @@ def _first_class_step(path, operator):
     return None
 
 
-_witness_cache: dict = {}
+@lru_cache(maxsize=None)
+def _witnesses(n: int, s: int) -> dict:
+    """(area, bounce) -> witness, for every pair two walks through level s
+    reach.  Down moves (area + 1) start at the first area-minimal path of
+    the level and go on while area < bounce; up moves (bounce + 1) start
+    at its flip preimage, a bounce-minimal path, and go on while
+    area >= bounce.  Each walk stops early where a whole class refuses."""
+    amin = min(a for a, _ in ab_level_map(n)[s])
+    start = level_sets(n)[(amin, s - amin)][0]
+    found = {}
+    cur = start
+    while cur is not None and cur.area() < cur.bounce():
+        found[(cur.area(), cur.bounce())] = cur
+        cur = _first_class_step(cur, down)
+    cur = phi_inverse(start)
+    while cur is not None and cur.area() >= cur.bounce():
+        found[(cur.area(), cur.bounce())] = cur
+        cur = _first_class_step(cur, up)
+    return found
 
 
 def construct_path(n: int, a: int, b: int):
-    """A member of P_n(a, b), or None when the level is empty.
-
-    Starting points are the first area-minimal path of the level and its
-    flip preimage (a bounce-minimal path); one walks up in area by down
-    moves for a < b, the other up in bounce by up moves for a >= b,
-    trading a single unit per step through path classes.
-    """
+    """A member of P_n(a, b), or None when the level is empty or the
+    walks through level a + b (see `_witnesses`) do not reach (a, b)."""
     if a < 0 or b < 0:
         return None
-    s = a + b
-    levels = ab_level_map(n)
-    if s not in levels:
+    if a + b not in ab_level_map(n):
         return None
-    keys = levels[s]
-    amin = min(k[0] for k in keys)
-    bmin = min(k[1] for k in keys)
-    if not (amin <= a <= s - bmin):
-        return None
-    cache = _witness_cache.setdefault(n, {})
-    if (a, b) in cache:
-        return cache[(a, b)]
-    area_start = level_sets(n)[(amin, s - amin)][0]
-    if a < b:
-        cur = area_start
-        cache[(cur.area(), cur.bounce())] = cur
-        while cur.area() < a:
-            cur = _first_class_step(cur, down)
-            if cur is None:
-                return None
-            cache[(cur.area(), cur.bounce())] = cur
-    else:
-        cur = phi_inverse(area_start)
-        cache[(cur.area(), cur.bounce())] = cur
-        while cur.bounce() < b:
-            cur = _first_class_step(cur, up)
-            if cur is None:
-                return None
-            cache[(cur.area(), cur.bounce())] = cur
-    return cur if (cur.area(), cur.bounce()) == (a, b) else None
+    return _witnesses(n, a + b).get((a, b))
 
 
 # -- reports -------------------------------------------------------------------

@@ -154,6 +154,8 @@ def q_bell(n: int) -> tuple:
     """Johnson's q-analog of the Bell numbers: the weight-1 specialization
     is the Bell number, and the nonzero coefficients sit in degrees
     0..width(n) with no gaps."""
+    if n < 0:
+        raise ValueError("semilength must be nonnegative")
     if n == 0:
         return (1,)
     total = ()
@@ -165,6 +167,8 @@ def q_bell(n: int) -> tuple:
 def bell_number(n: int) -> int:
     """Classical Bell number by the binomial recursion; kept independent
     of q_bell as its cross-check."""
+    if n < 0:
+        raise ValueError("semilength must be nonnegative")
     values = [1]
     for m in range(1, n + 1):
         values.append(sum(math.comb(m - 1, k) * values[k] for k in range(m)))

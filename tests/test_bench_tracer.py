@@ -1,0 +1,60 @@
+"""The benchmark's tracer (perfbench/tracer.py) names library functions
+and DyckPath methods directly; removing or renaming one must fail here,
+not in a traced benchmark run."""
+
+import contextlib
+import io
+import pathlib
+import sys
+
+import dyckab
+from dyckab import bijection, cli, extremal, oracle, ops, paths, qbell
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
+
+from tracer import Tracer  # noqa: E402
+
+
+def test_tracer_installs_counts_and_uninstalls():
+    bound = (
+        (bijection, "iter_certificates"),
+        (extremal, "level_sets"),
+        (dyckab, "flip_sets"),
+    )
+    originals = [getattr(module, name) for module, name in bound]
+    tracer = Tracer()
+    tracer.install()
+    try:
+        path = paths.DyckPath.from_row_starts((0, 0, 1, 1))
+        assert path.area() + path.bounce() == path.ab()
+        ops.shift(path, 1)
+        assert len(list(paths.enumerate_paths(4))) == 14
+        assert sum(1 for _ in bijection.iter_certificates(6)) > 0
+        area_side, _ = bijection.flip_sets(5)
+        side = next(iter(area_side))
+        assert bijection.phi_inverse(bijection.phi(side)) == side
+        bijection.classify(side)
+        assert len(extremal.level_sets(5)) > 0
+        assert extremal.construct_path(5, 3, 3) is not None
+        qbell.q_bell(6)  # may come from the cache; poly_mul below always runs
+        assert qbell.poly_mul((1, 1), (1, 1)) == (1, 2, 1)
+        qbell.qt_catalan(5)
+        oracle.run_suite("statistics", 3)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["stats", "--path", "NENE"]) == 0
+    finally:
+        tracer.uninstall()
+    report = tracer.report()
+    counters = report["counters"]
+    for layer in ("paths", "ops", "bijection", "extremal", "qbell", "oracle", "cli"):
+        assert counters[f"{layer}.calls"] > 0, layer
+    assert counters["paths.DyckPath.from_row_starts.calls"] >= 1
+    assert counters["bijection.candidates"] >= counters["bijection.certificates"] > 0
+    kinds = ("both", "area-side")
+    assert sum(counters[f"bijection.classify.{kind}"] for kind in kinds) == 1
+    assert counters["extremal.construct_calls"] == 1
+    assert counters["qbell.poly_mul_calls"] > 0
+    assert counters["oracle.checks"] > 0
+    assert counters["paths.enumerated"] >= 14
+    assert report["inclusive_s"]["bijection.flip_sets_s"] > 0
+    assert [getattr(module, name) for module, name in bound] == originals

@@ -19,6 +19,7 @@ from dyckab.bijection import (
     build_extended_pair,
     classify,
     extended_flip_sets,
+    extended_pair_valid,
     flip_sets,
     gamma,
     gamma_inverse,
@@ -81,8 +82,10 @@ def test_index_set_containment():
 # -- operator bundles -----------------------------------------------------------
 
 
-def reference_apply_area_map(lam, count_map):
-    cur = blocks(lam)
+def reference_apply_area_map(lam, count_map, start=None):
+    """Stack the cells one at a time, rows ascending, on ``start`` (the
+    block path of lam by default)."""
+    cur = blocks(lam) if start is None else start
     for (i, r) in sorted(count_map):
         for _ in range(count_map[(i, r)]):
             cur = add_area_cell(cur, row_map(lam, i, r))
@@ -329,3 +332,44 @@ def test_gamma_domain_violation_raises():
     bad = DyckPath.from_word("NNENENEENENE")
     with pytest.raises(NotInDomainError):
         gamma(bad)
+
+
+def test_extended_pair_stacks_like_cell_by_cell_reference():
+    for n in range(1, 10):
+        for cert in iter_extended_certificates(n):
+            lamp = conjugate(cert.partition)
+            start = apply_bounce_map(lamp, cert.f_map)
+            _, tau = build_extended_pair(cert)
+            assert tau == reference_apply_area_map(lamp, cert.g_map, start)
+
+
+def test_extended_pair_valid_exactly_on_enumerated_pairs():
+    for n in range(1, 9):
+        by_partition = {}
+        for cert in iter_certificates(n):
+            by_partition.setdefault(cert.partition, []).append(cert)
+        valid = {
+            (lam, fc.counts, gc.counts)
+            for lam, certs in by_partition.items()
+            for fc in certs
+            for gc in by_partition[conjugate(lam)]
+            if extended_pair_valid(lam, fc.count_map, gc.count_map)
+        }
+        enumerated = [
+            (c.partition, c.f_counts, c.g_counts) for c in iter_extended_certificates(n)
+        ]
+        assert len(set(enumerated)) == len(enumerated)
+        assert valid == set(enumerated)
+
+
+def test_extended_pair_valid_rejects_invalid_inputs():
+    assert extended_pair_valid((4, 1, 1), {(1, 1): 2}, {})
+    assert not extended_pair_valid((1, 3), {}, {})  # not a partition
+    # f at its bound 4 (its image is minimal), outside the index set, negative
+    assert not extended_pair_valid((4, 1, 1), {(1, 1): 4}, {})
+    assert not extended_pair_valid((4, 1, 1), {(2, 1): 1}, {})
+    assert not extended_pair_valid((4, 1, 1), {(1, 1): -1}, {})
+    # g above its bound, or negative
+    assert not extended_pair_valid((4, 1, 1), {(1, 1): 2}, {(1, 1): 9})
+    assert not extended_pair_valid((4, 1, 1), {(1, 1): 2}, {(1, 1): -1})
+    assert not extended_pair_valid(WORKED_PARTITION, WORKED_MAP, {})  # image not minimal

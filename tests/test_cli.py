@@ -1,10 +1,12 @@
 import json
+import time
 
 import pytest
 
-from dyckab.cli import apply_operator_string, main, render
+from dyckab.cli import ENUMERATION_CAP, apply_operator_string, main, render
+from dyckab.extremal import level_sets
 from dyckab.ops import BOTTOM
-from dyckab.paths import DyckPath
+from dyckab.paths import DyckPath, catalan
 
 FIGURE_ONE = "NNNEENENEENNEE"
 
@@ -196,6 +198,31 @@ def test_levels_csv(capsys):
     code, out, _ = run(capsys, "levels", "--n", "2", "--csv")
     assert code == 0
     assert out.splitlines() == ["area,bounce,count", "0,1,1", "1,0,1"]
+    lv = level_sets(7)
+    code, out, _ = run(capsys, "levels", "--n", "7", "--csv")
+    assert code == 0
+    assert out.splitlines()[1:] == [f"{a},{b},{len(lv[a, b])}" for a, b in sorted(lv)]
+    code, out, _ = run(capsys, "levels", "--n", "7")
+    assert out.splitlines() == [f"a={a} b={b} count={len(lv[a, b])}" for a, b in sorted(lv)]
+
+
+def test_levels_beyond_enumeration(capsys):
+    code, out, _ = run(capsys, "levels", "--n", "20")
+    assert code == 0
+    assert sum(int(line.rsplit("=", 1)[1]) for line in out.splitlines()) == catalan(20)
+
+
+def test_enumerating_verbs_refuse_above_cap(capsys):
+    assert ENUMERATION_CAP >= 7  # every n the tests and the README use
+    start = time.perf_counter()
+    for argv in (
+        ("construct", "--n", "2000", "--area", "1", "--bounce", "1"),
+        ("minimal", "--n", str(ENUMERATION_CAP + 1), "--kind", "area"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out
+        assert f"above {ENUMERATION_CAP}" in err
+    assert time.perf_counter() - start < 1.0
 
 
 def test_fqt_csv(capsys):
@@ -219,6 +246,8 @@ def test_fqt_beyond_enumeration(capsys):
 def test_qbell_subcommand(capsys):
     code, out, _ = run(capsys, "qbell", "--n", "3")
     assert code == 0 and out.strip() == "4 + q"
+    code, out, err = run(capsys, "qbell", "--n", "-1")
+    assert code == 2 and not out and "nonnegative" in err
 
 
 def test_sequence_d(capsys):

@@ -192,8 +192,9 @@ def test_qt_catalan_matches_enumeration():
 def test_qt_catalan_degenerate_sizes():
     assert qt_catalan(0).rows == ((1,),)
     assert qt_catalan(1).rows == ((1,),)
-    with pytest.raises(ValueError):
-        qt_catalan(-1)
+    for fn in (qt_catalan, q_bell, bell_number):
+        with pytest.raises(ValueError, match="nonnegative"):
+            fn(-1)
 
 
 def test_qt_catalan_twenty_beyond_enumeration():
