@@ -27,12 +27,9 @@ from .ops import (
 )
 from .paths import DyckPath, enumerate_paths
 
-# Largest semilength `minimal` and `construct` accept: both build and keep
-# every path of that semilength.  Measured on a 2-core Xeon (Python 3.11):
-# n = 12 takes 1.3 s and 55 MB (`minimal`), 2.5 s and 63 MB (`construct`);
-# n = 13 takes 4.5 s and 158 MB, 8 s and 177 MB; each further n costs
-# about 3.5 times more.
-ENUMERATION_CAP = 12
+# Largest semilength `minimal` and `construct` accept: both read the level
+# table, which refuses larger n with a ValueError (exit 2 here).
+ENUMERATION_CAP = extremal.ENUMERATION_CAP
 
 
 def render(path, show_bounce=False, show_floating=False) -> str:
@@ -125,15 +122,6 @@ def _print_path_or_bottom(result):
 
 def _cert_json(cert):
     return json.dumps(cert.to_json_dict())
-
-
-def _within_cap(n):
-    if n > ENUMERATION_CAP:
-        raise ValueError(
-            f"--n {n} is above {ENUMERATION_CAP}, the largest semilength "
-            "this verb enumerates (ENUMERATION_CAP)"
-        )
-    return n
 
 
 def main(argv=None) -> int:
@@ -264,12 +252,12 @@ def _dispatch(args) -> int:
 
     if args.command == "minimal":
         fn = extremal.area_minimal if args.kind == "area" else extremal.bounce_minimal
-        for path in fn(_within_cap(args.n)):
+        for path in fn(args.n):
             print(f"{path.word} a={path.area()} b={path.bounce()}")
         return 0
 
     if args.command == "construct":
-        built = extremal.construct_path(_within_cap(args.n), args.area, args.bounce)
+        built = extremal.construct_path(args.n, args.area, args.bounce)
         print(built.word if built is not None else "none exists")
         return 0
 

@@ -70,11 +70,19 @@ def check_figure_one(n_max):
 
 
 def check_word_round_trip(n_max):
+    """Every path survives its word, and the enumerator's carried
+    (area, bounce) equal the methods' path by path, in order."""
     for n in range(min(n_max, 9) + 1):
+        carried = paths.iter_area_bounce(n)
         for p in paths.enumerate_paths(n):
             q = paths.DyckPath.from_word(p.word)
             if q != p:
                 return False, {"path": _record(p)}
+            stats = next(carried, None)
+            if stats != (p.area(), p.bounce()):
+                return False, {"path": _record(p), "carried": stats}
+        if next(carried, None) is not None:
+            return False, {"n": n, "reason": "carried stats outnumber paths"}
     return True, None
 
 

@@ -10,6 +10,13 @@ Dyck word exactly when the row starts are weakly increasing with
 row_starts[r-1] <= r-1.  Sorting paths by row starts coincides with
 lexicographic order on words with N < E, which is the documented
 enumeration order.
+
+One enumerator, `_iter_row_starts`, walks that order and carries each
+path's area and bounce along with its row starts (see its docstring for
+the equal-run invariant that makes this a scalar update).
+`enumerate_with_stats` yields each path object with its area and bounce;
+`enumerate_paths` and the level table of `extremal.level_sets` read it,
+and `iter_area_bounce` reads the stats alone, without path objects.
 """
 
 from __future__ import annotations
@@ -250,39 +257,82 @@ def _bounce_points(x) -> list:
 
 def enumerate_paths(n: int) -> Iterator[DyckPath]:
     """All Dyck paths of semilength n in word order (N < E), each once."""
-    if n < 0:
-        raise ValueError("semilength must be nonnegative")
-    for x in _iter_row_starts(n):
-        yield _path(x)
+    for p, _, _ in enumerate_with_stats(n):
+        yield p
+
+
+def enumerate_with_stats(n: int) -> Iterator[tuple]:
+    """(path, area, bounce) for all Dyck paths of semilength n in word
+    order, the statistics read off the enumerator's carried values."""
+    for x, area, bounce in _iter_row_starts(n):
+        yield _path(x), area, bounce
 
 
 def _iter_row_starts(n):
-    """Valid row-start tuples in lexicographic order, by successor.
+    """(row starts, area, bounce) of every path of semilength n, row-start
+    tuples in lexicographic order; the one enumerator the library has.
 
-    The successor raises the last row that is below its bound r - 1 and
-    lowers every row above it to the new value.
+    Rows 1..n-1 advance by successor: raise the last of them that is below
+    its bound r - 1 by one, to v, and set every row above it to v.  For each
+    row prefix the enumerator keeps the row-start sum, the bounce so far
+    and the last bounce point.  Row r opens the bounce point r - 1, worth
+    n - r + 1 to the bounce, exactly when x_r exceeds the last point below
+    it (b_{i+1} is the number of rows that start at or left of b_i).  The
+    equal-run invariant: rows that start alike open at most one point, at
+    the first of them, since x_r <= r - 1.  So a successor that raises
+    row r updates the carried values of rows r..n-1 by scalars, O(n - r)
+    work and no sweep; the last row runs through its range inside, one
+    addition per path.
     """
-    x = [0] * n
+    if n < 0:
+        raise ValueError("semilength must be nonnegative")
+    if n < 2:
+        yield (0,) * n, 0, 0
+        return
+    top = (n * (n - 1)) // 2
+    m = n - 1
+    x = [0] * m
+    # sums[i], bounces[i], lasts[i]: the carried values of rows 1..i
+    sums = [0] * n
+    bounces = [0] * n
+    lasts = [0] * n
     while True:
-        yield tuple(x)
-        j = n - 1
+        prefix = tuple(x)
+        area = top - sums[m]
+        bounce = bounces[m]
+        last = lasts[m]
+        for v in range(x[-1], m + 1):
+            # row n opens the point n - 1, worth 1, when v > last
+            yield prefix + (v,), area - v, bounce + (v > last)
+        j = m - 1
         while j > 0 and x[j] == j:
             j -= 1
         if j <= 0:
             return
-        x[j:] = [x[j] + 1] * (n - j)
+        v = x[j] + 1
+        k = m - j
+        x[j:] = [v] * k
+        s = sums[j]
+        bounce = bounces[j]
+        last = lasts[j]
+        if v > last:
+            bounce += n - j
+            last = j
+        sums[j + 1 :] = range(s + v, s + v * k + 1, v)
+        bounces[j + 1 :] = [bounce] * k
+        lasts[j + 1 :] = [last] * k
 
 
 def iter_area_bounce(n: int) -> Iterator[tuple]:
-    """(area, bounce) over all paths of semilength n, without path objects.
+    """(area, bounce) over all paths of semilength n in word order, read
+    off the enumerator's carried values, without path objects.
 
     The brute-force oracle for the polynomial tables in `qbell`; the
-    per-path work is one bisect sweep over the bounce points.
+    oracle's `word-round-trip` check compares it with the `DyckPath`
+    methods path by path.
     """
-    total = (n * (n - 1)) // 2
-    for x in _iter_row_starts(n):
-        pts = _bounce_points(x)
-        yield total - sum(x), n * (len(pts) - 1) - sum(pts)
+    for _, area, bounce in _iter_row_starts(n):
+        yield area, bounce
 
 
 def catalan(n: int) -> int:

@@ -10,11 +10,13 @@ polynomial is evaluated at q = 2**w, which packs its coefficients into
 the w-bit digits of one integer; a product of polynomials is then a
 single big-integer product, read back digit by digit, and exact as long
 as no coefficient outgrows w bits.  `poly_mul` is this kernel for tuples.
-`q_binomial` evaluates the Gaussian product formula at q = 2**w, and
-`qt_catalan` keeps the whole (area, bounce) table packed as one integer,
-with t = 2**(w * (C(n,2) + 1)), while it sums Haglund's bounce formula.
-Enumerating paths (`paths.iter_area_bounce`) serves only as the oracle
-for these tables.
+`q_binomial` evaluates the Gaussian product formula at q = 2**w,
+`q_bell` sums its recurrence as one packed dot product, with 2**w above
+Bell(n), the largest coefficient it meets, and `qt_catalan` keeps the
+whole (area, bounce) table packed as one integer, with
+t = 2**(w * (C(n,2) + 1)), while it sums Haglund's bounce formula.  Each
+result is unpacked once, at the end.  Enumerating paths
+(`paths.iter_area_bounce`) serves only as the oracle for these tables.
 
 The width function here drives everything downstream: width(n) is both the
 degree of the q-Bell polynomial and the length of the interval of realized
@@ -36,17 +38,6 @@ DISTINCT_AB_FIRST_TWENTY = (
     1, 1, 1, 2, 3, 5, 8, 11, 15, 20,
     26, 32, 39, 47, 56, 66, 76, 87, 99, 112,
 )
-
-
-def poly_add(a, b) -> tuple:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, v in enumerate(b):
-        out[i] += v
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
 
 
 def _pack(digits, nbytes: int) -> int:
@@ -151,17 +142,30 @@ def q_binomial(m: int, k: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def q_bell(n: int) -> tuple:
-    """Johnson's q-analog of the Bell numbers: the weight-1 specialization
-    is the Bell number, and the nonzero coefficients sit in degrees
-    0..width(n) with no gaps."""
+    """Johnson's q-analog of the Bell numbers, B_0 = 1 and
+
+        B_n(q) = sum over k < n of [n-1 choose k]_q B_k(q),
+
+    as one packed dot product at q = 2**w, w = 8 * (bits(Bell(n)) // 8 + 1):
+    the row of Gaussian polynomials comes from the q-Pascal rule
+    [m choose k] = [m-1 choose k-1] + q**k [m-1 choose k] at 2**w, the
+    cached B_k are packed at the same w (asked for in increasing k, so a
+    cold call recurses one level deep), and B_n is read back once, every
+    digit of it.  Every coefficient met is a nonnegative count of at most
+    Bell(n) < 2**w (a Gaussian coefficient is at most 2**(n-1) <= Bell(n)),
+    so no digit carries.  The weight-1 specialization is the Bell number,
+    and the nonzero coefficients sit in degrees 0..width(n) with no gaps."""
     if n < 0:
         raise ValueError("semilength must be nonnegative")
     if n == 0:
         return (1,)
-    total = ()
-    for k in range(n):
-        total = poly_add(total, poly_mul(q_binomial(n - 1, k), q_bell(k)))
-    return total
+    nbytes = bell_number(n).bit_length() // 8 + 1
+    w = 8 * nbytes
+    row = [1]  # [m choose k]_q at 2**w for k = 0..m
+    for m in range(1, n):
+        row = [1, *(row[k - 1] + (row[k] << (w * k)) for k in range(1, m)), 1]
+    value = sum(gauss * _pack(q_bell(k), nbytes) for k, gauss in enumerate(row))
+    return tuple(_unpack(value, nbytes, -(-value.bit_length() // w)))
 
 
 def bell_number(n: int) -> int:

@@ -1,8 +1,13 @@
 import math
+import time
 
+import pytest
+
+from dyckab import cli
 from dyckab.paths import DyckPath, enumerate_paths
 from dyckab.bijection import phi
 from dyckab.extremal import (
+    ENUMERATION_CAP,
     ab_ladder,
     ab_level_map,
     area_minimal,
@@ -40,6 +45,39 @@ def brute_minimal_sets(n):
 
 
 # -- level sets ----------------------------------------------------------------
+
+
+def test_level_sets_match_grouping_by_methods():
+    for n in range(11):
+        grouped = {}
+        for p in enumerate_paths(n):
+            grouped.setdefault((p.area(), p.bounce()), []).append(p)
+        # same keys in the same order, each list in word order
+        assert list(level_sets(n).items()) == list(grouped.items())
+
+
+def test_level_sets_refuse_stats_the_methods_disagree_with(monkeypatch):
+    bounce = DyckPath.bounce
+    monkeypatch.setattr(DyckPath, "bounce", lambda self: bounce(self) + 1)
+    level_sets.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match="methods disagree"):
+            level_sets(4)
+    finally:
+        level_sets.cache_clear()
+
+
+def test_enumerating_functions_refuse_above_cap():
+    assert cli.ENUMERATION_CAP == ENUMERATION_CAP == 12
+    start = time.perf_counter()
+    for call in (
+        lambda: construct_path(2000, 1, 1),
+        lambda: area_minimal(ENUMERATION_CAP + 1),
+        lambda: bounce_minimal(2000),
+    ):
+        with pytest.raises(ValueError, match=f"above {ENUMERATION_CAP}"):
+            call()
+    assert time.perf_counter() - start < 1.0
 
 
 def test_level_sets_small():

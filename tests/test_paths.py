@@ -13,6 +13,7 @@ from dyckab.paths import (
     count_paths_with_bounce_path,
     distinct_parts,
     enumerate_paths,
+    enumerate_with_stats,
     equivalence_class,
     is_partition,
     iter_area_bounce,
@@ -213,10 +214,21 @@ def test_ordering_rejects_non_paths():
 
 
 def test_iter_area_bounce_agrees_with_objects():
-    for n in range(8):
-        fast = sorted(iter_area_bounce(n))
-        slow = sorted((p.area(), p.bounce()) for p in enumerate_paths(n))
-        assert fast == slow
+    # in enumeration order, path by path
+    for n in range(12):
+        carried = list(iter_area_bounce(n))
+        methods = [(p.area(), p.bounce()) for p in enumerate_paths(n)]
+        assert carried == methods
+        assert list(enumerate_with_stats(n)) == [
+            (p, a, b) for p, (a, b) in zip(enumerate_paths(n), methods)
+        ]
+
+
+def test_enumerators_reject_negative_semilength():
+    for n in (-1, -3):
+        for enumerator in (iter_area_bounce, enumerate_paths, enumerate_with_stats):
+            with pytest.raises(ValueError, match="semilength must be nonnegative"):
+                next(enumerator(n))
 
 
 # -- counting -------------------------------------------------------------------

@@ -101,6 +101,26 @@ def test_q_binomial_large_m():
 # -- q-bell ------------------------------------------------------------------------
 
 
+def reference_q_bells(n):
+    """B_0..B_n by the recursion q_bell replaced: B_m = sum over k < m of
+    [m-1 choose k]_q B_k, one packed product per term, added as tuples."""
+    bells = [(1,)]
+    for m in range(1, n + 1):
+        total = []
+        for k in range(m):
+            term = poly_mul(q_binomial(m - 1, k), bells[k])
+            total += [0] * (len(term) - len(total))
+            for i, c in enumerate(term):
+                total[i] += c
+        bells.append(tuple(total))
+    return bells
+
+
+def test_q_bell_matches_reference_recursion():
+    # n = -1 is in test_qt_catalan_degenerate_sizes
+    assert [q_bell(n) for n in range(46)] == reference_q_bells(45)
+
+
 def test_q_bell_base_cases():
     assert q_bell(0) == (1,)
     assert q_bell(1) == (1,)
