@@ -7,7 +7,10 @@ nonnegative integer to each index.  The same count map f, read through the
 row map of lam on one side and through the bounce map of the conjugate
 lam' on the other, produces a pair of paths whose area and bounce
 statistics are exchanged.  Two edits of a start path build every side:
-`_stack` stacks area cells in rows, `_boost` boosts bounce points.
+`_stack` stacks area cells in rows, `_boost` boosts bounce points.  Both,
+like every decode, read one cached layout per partition (`_layout`): its
+conjugate, block widths, index -> bounce point and index -> row tables,
+and its block path.
 
 A certificate (lam, f) is valid when f is supported on the bounce index
 set of lam', each block of values is weakly decreasing and strictly
@@ -16,7 +19,10 @@ a minimal path.  One rule, `_certified_image`, checks all of this and
 returns that image (None when the pair is no certificate).  The flip map
 sends the area-side path of a certificate to its bounce-side path, which
 the area-side decode already built; `classify` decides membership of an
-arbitrary path and returns certificates.
+arbitrary path and returns certificates.  The certificates of one n are
+built once, as an immutable stream of (certificate, area-side path,
+bounce-side path) that `iter_certificates`, `flip_sets`, the extended
+pairing and `qbell.qt_flip_closure` read (`_certified`).
 
 The extended flip composes both directions: area cells via f on top of
 bounce moves via g (and vice versa), for pairs of certificates whose
@@ -27,7 +33,9 @@ two-stage flip reuse the bounce-side images of f and g from the rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, product
+from functools import lru_cache
+from itertools import accumulate, combinations_with_replacement, product
+from typing import NamedTuple
 
 from .paths import (
     DyckPath,
@@ -36,6 +44,7 @@ from .paths import (
     is_partition,
     multiplicity,
     partitions,
+    _path,
 )
 from .ops import BOTTOM, _checked, bounce_boost
 
@@ -73,51 +82,101 @@ class Certificate:
         }
 
 
+# -- per-partition layout ---------------------------------------------------
+
+
+class _Layout(NamedTuple):
+    """What the maps of one lam read, built once per lam.  Block i of the
+    bounce index set is (i, 1 .. widths[i-1]), at bounce points tops[i-1],
+    tops[i-1] - 1, ...; block i of the row index set is (i, 1 .. bounds[i]),
+    at rows offsets[i-1] + 1, ...."""
+
+    conjugate: tuple
+    bounds: tuple  # distinct parts, largest first
+    widths: tuple  # multiplicity of the (i+1)-th smallest distinct part
+    tops: tuple
+    offsets: tuple
+    block: DyckPath | None  # block path of lam; None unless parts are >= 1
+
+
+# Bounded, since callers may meet any number of partitions (2,747 in
+# 8,000 random paths at n = 12..24, about 0.4 KB each); 1,024 holds every
+# partition of n <= 16.
+@lru_cache(maxsize=1024)
+def _layout(lam: tuple) -> _Layout:
+    bar = distinct_parts(lam)
+    sizes = [multiplicity(lam, p) for p in bar]
+    tops = tuple(reversed(list(accumulate(sizes))[:-1]))
+    offsets = tuple(accumulate(m * p for m, p in zip(sizes[:-1], bar)))
+    block = None
+    if all(isinstance(a, int) and a >= 1 for a in lam):
+        starts = []
+        for a in lam:
+            starts += [len(starts)] * a
+        block = _path(tuple(starts))
+    widths = tuple(reversed(sizes[:-1]))
+    return _Layout(conjugate(lam), bar, widths, tops, offsets, block)
+
+
+def _point(layout, lam, i, r) -> int:
+    """bounce_map(lam, i, r) read off the layout of lam."""
+    widths = layout.widths
+    if (
+        isinstance(i, int)
+        and isinstance(r, int)
+        and 1 <= i <= len(widths)
+        and 1 <= r <= widths[i - 1]
+    ):
+        return layout.tops[i - 1] + 1 - r
+    raise ValueError(f"({i}, {r}) outside the bounce index set of {lam!r}")
+
+
+def _row(layout, lam, i, r) -> int:
+    """row_map(lam, i, r) read off the layout of lam."""
+    bounds = layout.bounds
+    if (
+        isinstance(i, int)
+        and isinstance(r, int)
+        and 1 <= i < len(bounds)
+        and 1 <= r <= bounds[i]
+    ):
+        return layout.offsets[i - 1] + r
+    raise ValueError(f"({i}, {r}) outside the row index set of {lam!r}")
+
+
+def _block_path(lam):
+    """The block path of lam from the layout; from_composition raises for
+    anything that is not a composition."""
+    block = _layout(lam).block
+    return DyckPath.from_composition(sum(lam), lam) if block is None else block
+
+
 # -- index sets and maps ---------------------------------------------------
-
-
-def _block_widths(lam) -> list:
-    """Width of block i = 1 .. l-1: the multiplicity of the (i+1)-th
-    smallest distinct part of lam."""
-    return [multiplicity(lam, p) for p in reversed(distinct_parts(lam)[:-1])]
 
 
 def bounce_index_set(lam) -> list:
     """(i, r) with 1 <= i <= l-1 and r up to the multiplicity of the
     (i+1)-th smallest distinct part (l = number of distinct parts)."""
-    return [
-        (i, r)
-        for i, width in enumerate(_block_widths(lam), 1)
-        for r in range(1, width + 1)
-    ]
+    widths = _layout(tuple(lam)).widths
+    return [(i, r) for i, width in enumerate(widths, 1) for r in range(1, width + 1)]
 
 
 def row_index_set(lam) -> list:
     """(i, r) with 1 <= i <= l-1 and r up to the (i+1)-th distinct part."""
-    bar = distinct_parts(lam)
-    l = len(bar)
-    return [(i, r) for i in range(1, l) for r in range(1, bar[i] + 1)]
+    bar = _layout(tuple(lam)).bounds
+    return [(i, r) for i in range(1, len(bar)) for r in range(1, bar[i] + 1)]
 
 
 def bounce_map(lam, i, r) -> int:
     """Bounce-point index of the r-th last part of the (i+1)-th smallest
     distinct size in the block path of lam."""
-    if (i, r) not in bounce_index_set(lam):
-        raise ValueError(f"({i}, {r}) outside the bounce index set of {lam!r}")
-    bar = distinct_parts(lam)
-    l = len(bar)
-    return 1 - r + sum(multiplicity(lam, bar[j - 1]) for j in range(1, l - i + 1))
+    return _point(_layout(tuple(lam)), lam, i, r)
 
 
 def row_map(lam, i, r) -> int:
     """Row r of the first block of the (i+1)-th distinct size in the block
     path of lam."""
-    if (i, r) not in row_index_set(lam):
-        raise ValueError(f"({i}, {r}) outside the row index set of {lam!r}")
-    bar = distinct_parts(lam)
-    return r + sum(
-        multiplicity(lam, bar[j - 1]) * bar[j - 1] for j in range(1, i + 1)
-    )
+    return _row(_layout(tuple(lam)), lam, i, r)
 
 
 # -- the two operator bundles ----------------------------------------------
@@ -132,9 +191,10 @@ def _stack(path, lam, count_map):
     """
     if path is BOTTOM:
         return BOTTOM
+    layout = _layout(lam)
     x = list(path.row_starts)
     for (i, r), v in count_map.items():
-        row = row_map(lam, i, r)
+        row = _row(layout, lam, i, r)
         if v < 0:
             raise ValueError(f"count {v} at ({i}, {r}) must be nonnegative")
         x[row - 1] -= v
@@ -144,10 +204,11 @@ def _stack(path, lam, count_map):
 def _boost(path, lam, count_map):
     """Boost bounce point bounce_map(lam, i, r) of ``path`` by
     count_map(i, r), indices ordered by i then r."""
+    layout = _layout(lam)
     for (i, r) in sorted(count_map):
         k = count_map[(i, r)]
         if k:
-            path = bounce_boost(path, bounce_map(lam, i, r), k)
+            path = bounce_boost(path, _point(layout, lam, i, r), k)
             if path is BOTTOM:
                 return BOTTOM
     return path
@@ -157,14 +218,14 @@ def apply_area_map(lam, count_map):
     """Stack count_map(i, r) cells in row row_map(lam, i, r) of the block
     path of lam."""
     lam = tuple(lam)
-    return _stack(DyckPath.from_composition(sum(lam), lam), lam, count_map)
+    return _stack(_block_path(lam), lam, count_map)
 
 
 def apply_bounce_map(lam, count_map):
     """Boost bounce point bounce_map(lam, i, r) by count_map(i, r), indices
     ordered by i then r, starting from the block path of lam."""
     lam = tuple(lam)
-    return _boost(DyckPath.from_composition(sum(lam), lam), lam, count_map)
+    return _boost(_block_path(lam), lam, count_map)
 
 
 # -- certificates -----------------------------------------------------------
@@ -181,15 +242,19 @@ def _certified_image(lam, count_map):
     """
     if not is_partition(lam):
         return None
-    lamp = conjugate(lam)
-    allowed = set(bounce_index_set(lamp))
-    if any((v and k not in allowed) or v < 0 for k, v in count_map.items()):
+    if any(v < 0 for v in count_map.values()):
         return None
-    blocks = zip(_block_widths(lamp), distinct_parts(lam))
-    for i, (width, bound) in enumerate(blocks, 1):
+    layout = _layout(lam)
+    lamp = layout.conjugate
+    support = 0
+    for i, (width, bound) in enumerate(zip(_layout(lamp).widths, layout.bounds), 1):
         values = [count_map.get((i, r), 0) for r in range(1, width + 1)]
         if values[0] >= bound or any(u < v for u, v in zip(values, values[1:])):
             return None
+        support += sum(1 for v in values if v)
+    # every nonzero value sits on the bounce index set of lam'
+    if support != sum(1 for v in count_map.values() if v):
+        return None
     return _minimal_image(lamp, count_map)
 
 
@@ -205,17 +270,20 @@ def is_certificate(lam, count_map) -> bool:
     return _certified_image(tuple(lam), count_map) is not None
 
 
-def _certified(n: int):
-    """(certificate, bounce-side image) for every certificate with
-    |lam| = n: partitions of n, then per block the weakly decreasing
-    values below its bound, largest first, earlier blocks outermost.
-    These maps meet the rule's bounds by construction, so only the image
-    is checked."""
+@lru_cache(maxsize=None)
+def _certified(n: int) -> tuple:
+    """(certificate, area-side path, bounce-side path) for every
+    certificate with |lam| = n, built once per n: partitions of n, then
+    per block the weakly decreasing values below its bound, largest first,
+    earlier blocks outermost.  These maps meet the rule's bounds by
+    construction, so only the image is checked."""
+    out = []
     for lam in partitions(n):
-        lamp = conjugate(lam)
+        layout = _layout(lam)
+        lamp = layout.conjugate
         blocks = [
             combinations_with_replacement(range(bound - 1, -1, -1), width)
-            for width, bound in zip(_block_widths(lamp), distinct_parts(lam))
+            for width, bound in zip(_layout(lamp).widths, layout.bounds)
         ]
         for values in product(*blocks):
             f = {
@@ -226,7 +294,9 @@ def _certified(n: int):
             }
             image = _minimal_image(lamp, f)
             if image is not None:
-                yield Certificate.make(lam, f), image
+                area = _stack(layout.block, lam, f)
+                out.append((Certificate.make(lam, f), area, image))
+    return tuple(out)
 
 
 def iter_certificates(n: int):
@@ -235,17 +305,18 @@ def iter_certificates(n: int):
     Iterates partitions of n, then count maps within the stated bounds,
     keeping those whose bounce-side image is a minimal path.
     """
-    for cert, _ in _certified(n):
+    for cert, _, _ in _certified(n):
         yield cert
 
 
 def flip_sets(n: int):
-    """(area side, bounce side) of the flip map as path -> Certificate maps."""
-    area_side, bounce_side = {}, {}
-    for cert, image in _certified(n):
-        area_side[apply_area_map(cert.partition, cert.count_map)] = cert
-        bounce_side[image] = cert
-    return area_side, bounce_side
+    """(area side, bounce side) of the flip map as path -> Certificate maps,
+    fresh dicts on every call."""
+    stream = _certified(n)
+    return (
+        {area: cert for cert, area, _ in stream},
+        {image: cert for cert, _, image in stream},
+    )
 
 
 # -- classification -----------------------------------------------------------
@@ -279,18 +350,21 @@ def _decode_area_side(path):
     lam = path.bounce_composition()
     if not is_partition(lam):
         return None
-    base = DyckPath.from_composition(path.n, lam).area_sequence()
-    a = path.area_sequence()
-    named = {row_map(lam, i, r): (i, r) for (i, r) in bounce_index_set(conjugate(lam))}
+    layout = _layout(lam)
+    base, x = layout.block.row_starts, path.row_starts
+    if any(u < v for u, v in zip(base, x)):
+        return None
     f = {}
-    for row in range(1, path.n + 1):
-        extra = a[row - 1] - base[row - 1]
-        if extra < 0:
-            return None
-        if extra:
-            if row not in named:
-                return None
-            f[named[row]] = extra
+    named = 0
+    for i, width in enumerate(_layout(layout.conjugate).widths, 1):
+        start = layout.offsets[i - 1]
+        for r in range(1, width + 1):
+            extra = base[start + r - 1] - x[start + r - 1]
+            if extra:
+                f[(i, r)] = extra
+                named += extra
+    if named != sum(base) - sum(x):  # a floating cell outside the named rows
+        return None
     image = _certified_image(lam, f)
     if image is None:
         return None
@@ -377,9 +451,10 @@ def _rows_clear(lam, count_map, image) -> bool:
     """Every row the nonzero count_map stacks in (rows of lam) lies
     strictly below every row where ``image`` differs from the block path
     of lam; False when it does not differ."""
-    base = DyckPath.from_composition(image.n, lam).row_starts
+    layout = _layout(lam)
+    base = layout.block.row_starts
     changed = [r for r, (u, v) in enumerate(zip(base, image.row_starts), 1) if u != v]
-    touched = [row_map(lam, i, r) for (i, r), v in count_map.items() if v]
+    touched = [layout.offsets[i - 1] + r for (i, r), v in count_map.items() if v]
     return bool(changed) and max(touched) < min(changed)
 
 
@@ -391,7 +466,7 @@ def _pair_clear(lam, f, g, f_image, g_image) -> bool:
         return False
     if not any(g.values()):
         return True
-    return _rows_clear(conjugate(lam), g, f_image) and _rows_clear(lam, f, g_image)
+    return _rows_clear(_layout(lam).conjugate, g, f_image) and _rows_clear(lam, f, g_image)
 
 
 def extended_pair_valid(lam, f, g) -> bool:
@@ -405,32 +480,33 @@ def extended_pair_valid(lam, f, g) -> bool:
 
 
 def _extended(n: int):
-    """(extended certificate, bounce-side image of its f) for |lam| = n:
-    each certificate on lam against each on lam', in enumeration order."""
+    """(extended certificate, area-side and bounce-side paths of its f)
+    for |lam| = n: each certificate on lam against each on lam', in the
+    order of the certificate stream."""
     by_partition = {}
-    for cert, image in _certified(n):
-        entry = (cert, cert.count_map, image)
+    for cert, area, image in _certified(n):
+        entry = (cert, cert.count_map, area, image)
         by_partition.setdefault(cert.partition, []).append(entry)
     for lam, firsts in by_partition.items():
-        seconds = by_partition.get(conjugate(lam), [])
-        for fc, f, f_image in firsts:
-            for gc, g, g_image in seconds:
+        seconds = by_partition.get(_layout(lam).conjugate, [])
+        for fc, f, f_area, f_image in firsts:
+            for gc, g, _, g_image in seconds:
                 if _pair_clear(lam, f, g, f_image, g_image):
-                    yield ExtendedCertificate(lam, fc.counts, gc.counts), f_image
+                    yield ExtendedCertificate(lam, fc.counts, gc.counts), f_area, f_image
 
 
 def iter_extended_certificates(n: int):
-    for cert, _ in _extended(n):
+    for cert, _, _ in _extended(n):
         yield cert
 
 
-def _pair_paths(cert: ExtendedCertificate, f_image):
-    """(sigma, tau) given the bounce-side image of f: sigma boosts the
-    area-side path of f by g, tau stacks g on f_image.  With g nonzero, a
+def _pair_paths(cert: ExtendedCertificate, f_area, f_image):
+    """(sigma, tau) given the area-side and bounce-side paths of f: sigma
+    boosts f_area by g, tau stacks g on f_image.  With g nonzero, a
     BOTTOM on either side is BOTTOM on both."""
-    lam, f, g = cert.partition, cert.f_map, cert.g_map
-    sigma = _boost(apply_area_map(lam, f), lam, g)
-    tau = _stack(f_image, conjugate(lam), g)
+    lam, g = tuple(cert.partition), cert.g_map
+    sigma = _boost(f_area, lam, g)
+    tau = _stack(f_image, _layout(lam).conjugate, g)
     if g and (sigma is BOTTOM or tau is BOTTOM):
         return BOTTOM, BOTTOM
     return sigma, tau
@@ -439,21 +515,19 @@ def _pair_paths(cert: ExtendedCertificate, f_image):
 def build_extended_pair(cert: ExtendedCertificate):
     """(sigma, tau): area map then bounce moves on one side, bounce moves
     then area map on the other."""
-    return _pair_paths(cert, apply_bounce_map(conjugate(cert.partition), cert.f_map))
+    lam, f = cert.partition, cert.f_map
+    f_image = apply_bounce_map(conjugate(lam), f)
+    return _pair_paths(cert, apply_area_map(lam, f), f_image)
 
 
 def _transplant_floating(path, target_partition):
     """Carry the floating cells of ``path`` row by row onto the block path
     of the sorted composition."""
-    n = path.n
-    base = path.bounce_path().area_sequence()
-    a = path.area_sequence()
-    t = DyckPath.from_composition(n, target_partition).area_sequence()
-    seq = [t[r] + (a[r] - base[r]) for r in range(n)]
-    try:
-        return DyckPath.from_area_sequence(seq)
-    except ValueError:
-        return None
+    target = _layout(target_partition).block.row_starts
+    base = path.bounce_path().row_starts
+    x = [t + (u - v) for t, u, v in zip(target, path.row_starts, base)]
+    carrier = _checked(x)
+    return None if carrier is BOTTOM else carrier
 
 
 def _decode_extended(path, bounce_stage_first):
@@ -482,10 +556,12 @@ def _decode_extended(path, bounce_stage_first):
     else:
         # path = block(lam) . A^f B_g
         (fc, f_image), (gc, g_image) = area, (bounce_cert, stripped)
-    lam = fc.partition
-    if not _pair_clear(lam, fc.count_map, gc.count_map, f_image, g_image):
+    lam, f = fc.partition, fc.count_map
+    if not _pair_clear(lam, f, gc.count_map, f_image, g_image):
         return None
-    return _pair_paths(ExtendedCertificate(lam, fc.counts, gc.counts), f_image)
+    # stacking the decoded f on the block path rebuilds the carrier
+    f_area = apply_area_map(lam, f) if bounce_stage_first else carrier
+    return _pair_paths(ExtendedCertificate(lam, fc.counts, gc.counts), f_area, f_image)
 
 
 def gamma(path) -> DyckPath:
@@ -509,8 +585,8 @@ def gamma_inverse(path) -> DyckPath:
 def extended_flip_sets(n: int):
     """(extended area side, extended bounce side) path -> certificate maps."""
     left, right = {}, {}
-    for cert, f_image in _extended(n):
-        sigma, tau = _pair_paths(cert, f_image)
+    for cert, f_area, f_image in _extended(n):
+        sigma, tau = _pair_paths(cert, f_area, f_image)
         if sigma is BOTTOM or tau is BOTTOM:
             raise AssertionError(f"extended pair failed to build: {cert}")
         left[sigma] = cert

@@ -18,17 +18,10 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .paths import DyckPath, enumerate_with_stats
+from .paths import ENUMERATION_CAP, DyckPath, enumerate_with_stats
 from .ops import BOTTOM, add_column_cell, down, up
 from .bijection import phi, phi_inverse
 from .qbell import ab_interval_width, minimizing_composition
-
-# Largest semilength `level_sets` enumerates; everything here that reads
-# the levels (minimal sets, `construct_path`, the reports) refuses larger n
-# through it.  The table keeps every path: n = 12 (208,012 paths) takes
-# 0.3-0.6 s and 55 MB on a 2-core Xeon (Python 3.11), and each further n
-# costs about 3.5 times more.
-ENUMERATION_CAP = 12
 
 
 @lru_cache(maxsize=None)

@@ -8,7 +8,9 @@ failure BOTTOM.
 Each operator is one edit of the row starts x (x_r is the start of row r,
 rows 1-based) followed by at most one validity check of the result.  The
 height of column c is h_c = bisect_left(x, c), the number of rows that
-start left of c.
+start left of c.  `bounce_boost` edits one row-start list once per bounce
+index it shifts at; the conditions of those shifts are checked up front,
+so its result needs no validity check.
 
 Cell operators:
   add_area_cell(p, r)      one cell to the left of the path in row r:
@@ -22,7 +24,8 @@ Compound operators (i indexes bounce points):
   shift(p, i)         moves the i-th bounce point down one; area fixed,
                       bounce + 1
   unshift(p, i)       exact inverse of shift
-  bounce_boost(p, i, k)  composition of shifts raising bounce by exactly k
+  bounce_boost(p, i, k)  composition of shifts raising bounce by exactly k,
+                      one edit per bounce index it shifts at
   up(p, i)            area - 1, bounce + 1 (region move at bounce corner i)
   down(p, i)          exact inverse of up
 """
@@ -192,7 +195,8 @@ def bounce_boost(path, i, k):
     up to max(0, alpha_i - alpha_{i+j}) shift applications; the budget k is
     spent greedily left to right and the last block gets the remainder.
     BOTTOM if the budget exceeds the total capacity or any shift fails.
-    k = 0 is the identity.
+    k = 0 is the identity.  Each plan step is one edit, `_shift_run`, of
+    one row-start list whose bounce points are carried along.
     """
     if path is BOTTOM:
         return BOTTOM
@@ -201,28 +205,55 @@ def bounce_boost(path, i, k):
     if k == 0:
         return path
     _check_index(path, i, "bounce index")
-    alpha = path.bounce_composition()
-    length = len(alpha)
+    b = list(path.bounce_points())
+    length = len(b) - 1
     if i > length:
         return BOTTOM
+    alpha_i = b[i] - b[i - 1]
     remaining = k
     plan = []
-    j = 1
-    while remaining > 0 and i + j <= length:
-        full = max(0, alpha[i - 1] - alpha[i + j - 1])
-        take = min(full, remaining)
-        plan.append((i + j - 1, take))
-        remaining -= take
-        j += 1
+    for idx in range(i, length):
+        if remaining == 0:
+            break
+        take = min(max(0, alpha_i - (b[idx + 1] - b[idx])), remaining)
+        if take:
+            plan.append((idx, take))
+            remaining -= take
     if remaining > 0:
         return BOTTOM
-    cur = path
+    x = list(path.row_starts)
     for idx, e in plan:
-        for _ in range(e):
-            cur = shift(cur, idx)
-            if cur is BOTTOM:
-                return BOTTOM
-    return cur
+        if not _shift_run(x, b, idx, e):
+            return BOTTOM
+    return _path(tuple(x))
+
+
+def _shift_run(x, b, i, e) -> bool:
+    """Apply e shifts at bounce index i to row starts ``x`` and bounce
+    points ``b`` as one edit, in place; False when any of them is BOTTOM.
+
+    Let p = b_{i-1}, c = b_i and s the number of rows that start at c.
+    Each shift needs its row b_i to start at p; it moves the rows that
+    start at b_i one column left and gives row b_i the start p + s, which
+    may not exceed the start of the row above it.  The count at b_i stays
+    s through the run exactly when no row starts in (c - e, c).  So the
+    run succeeds iff s >= 1, rows c - e + 1 .. c start at p, no row starts
+    in (c - e, c) and p + s <= min(c - e, x_{c+1}).  Then rows
+    c - e + 1 .. c start at p + s, the s rows start at c - e, and
+    b_i = c - e.
+    """
+    p, c, nxt = b[i - 1], b[i], b[i + 1]
+    lo = bisect_left(x, c)
+    s = nxt - lo
+    t = p + s
+    if s < 1 or t > c - e or t > x[c] or x[c - e] != p:
+        return False
+    if bisect_left(x, c - e + 1) != lo:
+        return False
+    x[c - e : c] = [t] * e
+    x[lo:nxt] = [c - e] * s
+    b[i] = c - e
+    return True
 
 
 # -- up/down family ---------------------------------------------------------

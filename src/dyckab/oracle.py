@@ -3,7 +3,9 @@
 Each named check re-derives everything it asserts from path words and
 exhaustive enumeration, never trusting the fast paths it is checking.
 Failures always carry a replayable counterexample (path words, index,
-certificate).  Suites bundle the checks by module; `all` runs everything.
+certificate).  A check returns (passed, counterexample), or None when its
+range holds nothing below the cap: it is reported as skipped, which counts
+as passed.  Suites bundle the checks by module; `all` runs everything.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ class CheckReport:
     passed: bool
     counterexample: dict | None = None
     seconds: float = 0.0
+    skipped: bool = False  # examined nothing at this cap; passed stays True
 
     def to_json(self) -> str:
         return json.dumps(
@@ -31,6 +34,7 @@ class CheckReport:
                 "name": self.name,
                 "n_range": self.n_range,
                 "passed": self.passed,
+                "skipped": self.skipped,
                 "counterexample": self.counterexample,
                 "seconds": round(self.seconds, 4),
             }
@@ -328,6 +332,8 @@ def check_classify_consistency(n_max):
 
 
 def check_count_bounds(n_max):
+    if n_max < 5:
+        return None
     for n in range(5, min(n_max, 12) + 1):
         area_side, bounce_side = bijection.flip_sets(n)
         size = len(set(area_side) | set(bounce_side))
@@ -437,7 +443,7 @@ def check_flip_minimal(n_max):
 
 def check_minimal_figures(n_max):
     if n_max < 7:
-        return True, None
+        return None
     lv = extremal.level_sets(7)
     bmin = extremal.bounce_minimal(7)
     values = {p.ab() for p in bmin}
@@ -488,6 +494,8 @@ def check_interpolation(n_max):
 
 
 def check_top_levels(n_max):
+    if n_max < 3:
+        return None
     for n in range(3, min(n_max, 9) + 1):
         report = extremal.top_levels(n)
         ok = (
@@ -677,8 +685,9 @@ def run_suite(name: str, n_max: int) -> list:
     reports = []
     for check_name, declared_range, fn in checks:
         start = time.perf_counter()
-        passed, counterexample = fn(n_max)
+        outcome = fn(n_max)
         elapsed = time.perf_counter() - start
+        passed, counterexample = (True, None) if outcome is None else outcome
         reports.append(
             CheckReport(
                 name=check_name,
@@ -686,6 +695,7 @@ def run_suite(name: str, n_max: int) -> list:
                 passed=passed,
                 counterexample=counterexample,
                 seconds=elapsed,
+                skipped=outcome is None,
             )
         )
     return reports
@@ -695,13 +705,14 @@ def format_table(reports) -> str:
     width = max(len(r.name) for r in reports)
     lines = []
     for r in reports:
-        status = "pass" if r.passed else "FAIL"
+        status = "skip" if r.skipped else "pass" if r.passed else "FAIL"
         lines.append(f"{r.name:<{width}}  {status}  {r.seconds:8.3f}s  {r.n_range}")
         if not r.passed and r.counterexample is not None:
             lines.append(f"{'':<{width}}  counterexample: {r.counterexample}")
     total = sum(r.seconds for r in reports)
     failed = sum(1 for r in reports if not r.passed)
+    skipped = sum(1 for r in reports if r.skipped)
     lines.append(
-        f"{len(reports)} checks, {failed} failed, {total:.3f}s total"
+        f"{len(reports)} checks, {failed} failed, {skipped} skipped, {total:.3f}s total"
     )
     return "\n".join(lines)

@@ -189,8 +189,15 @@ class DyckPath:
         return self.area() + self.bounce()
 
     def is_minimal(self) -> bool:
-        """True when the path equals its own bounce path (no floating cells)."""
-        return self._x == self.bounce_path()._x
+        """True when the path equals its own bounce path (no floating cells):
+        the rows of each block all start at the bounce point below it."""
+        x = self._x
+        b = 0
+        while b < len(x):
+            if x[b] != b:
+                return False
+            b = bisect_right(x, b)
+        return True
 
     def floating_cells(self) -> list:
         """(row, column) of every cell between the path and its bounce path."""
@@ -253,6 +260,13 @@ def _bounce_points(x) -> list:
 
 
 # -- enumeration -------------------------------------------------------
+
+# Largest semilength the library enumerates in full: `equivalence_class`
+# and `extremal.level_sets` (so everything that reads the levels) refuse
+# larger n.  The level table keeps every path: n = 12 (208,012 paths)
+# takes 0.3-0.6 s and 55 MB on a 2-core Xeon (Python 3.11), and each
+# further n costs about 3.5 times more.
+ENUMERATION_CAP = 12
 
 
 def enumerate_paths(n: int) -> Iterator[DyckPath]:
@@ -422,10 +436,19 @@ def count_paths_with_bounce_path(n: int, alpha) -> int:
 def equivalence_class(path: DyckPath) -> Iterator[DyckPath]:
     """Paths sharing the area and the bounce path of ``path``, in word order.
 
-    Realized as a filter over the full enumeration; fine at desk scale.
+    Realized as a filter over the full enumeration, so semilengths above
+    ENUMERATION_CAP are refused at the call.
     """
+    n = path.n
+    if n > ENUMERATION_CAP:
+        raise ValueError(
+            f"semilength {n} is above {ENUMERATION_CAP}, the largest "
+            "equivalence_class enumerates (ENUMERATION_CAP)"
+        )
     a = path.area()
     alpha = path.bounce_composition()
-    for q in enumerate_paths(path.n):
-        if q.area() == a and q.bounce_composition() == alpha:
-            yield q
+    return (
+        q
+        for q in enumerate_paths(n)
+        if q.area() == a and q.bounce_composition() == alpha
+    )

@@ -331,8 +331,7 @@ def qt_catalan(n: int) -> BivariateTable:
 def qt_flip_closure(n: int) -> BivariateTable:
     """Joint distribution over the union of both flip sides; symmetric by
     the flip bijection."""
-    from .bijection import flip_sets
+    from .bijection import _certified
 
-    area_side, bounce_side = flip_sets(n)
-    union = set(area_side) | set(bounce_side)
+    union = {p for _, area, image in _certified(n) for p in (area, image)}
     return BivariateTable.from_pairs(n, ((p.area(), p.bounce()) for p in union))

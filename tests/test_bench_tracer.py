@@ -22,6 +22,8 @@ def test_tracer_installs_counts_and_uninstalls():
         (dyckab, "flip_sets"),
     )
     originals = [getattr(module, name) for module, name in bound]
+    # the certificate stream is memoized per n; build it inside the trace
+    bijection._certified.cache_clear()
     tracer = Tracer()
     tracer.install()
     try:

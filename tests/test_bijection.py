@@ -215,6 +215,19 @@ def test_flip_round_trip_exhaustive():
             assert phi_inverse(q) == p
 
 
+def test_flip_set_results_do_not_share_state():
+    # the certificate stream is cached per n; callers get fresh dicts
+    for build, n in ((flip_sets, 8), (extended_flip_sets, 7)):
+        first = build(n)
+        want = [list(side.items()) for side in first]
+        stray = DyckPath.from_word("NENE")
+        for side in first:
+            side.popitem()
+            side[stray] = None
+        assert [list(side.items()) for side in build(n)] == want
+    assert sum(1 for _ in iter_certificates(8)) == len(flip_sets(8)[0])
+
+
 def test_flip_domain_violation_raises():
     # a path with a floating cell off the allowed rows is in neither side
     bad = DyckPath.from_word("NNENENEENENE")

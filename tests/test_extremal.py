@@ -4,7 +4,7 @@ import time
 import pytest
 
 from dyckab import cli
-from dyckab.paths import DyckPath, enumerate_paths
+from dyckab.paths import DyckPath, enumerate_paths, equivalence_class
 from dyckab.bijection import phi
 from dyckab.extremal import (
     ENUMERATION_CAP,
@@ -74,6 +74,7 @@ def test_enumerating_functions_refuse_above_cap():
         lambda: construct_path(2000, 1, 1),
         lambda: area_minimal(ENUMERATION_CAP + 1),
         lambda: bounce_minimal(2000),
+        lambda: equivalence_class(DyckPath.from_word("NE" * (ENUMERATION_CAP + 1))),
     ):
         with pytest.raises(ValueError, match=f"above {ENUMERATION_CAP}"):
             call()

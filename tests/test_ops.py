@@ -102,6 +102,41 @@ def reference_unshift(path, i):
     return cur
 
 
+def reference_bounce_boost(path, i, k):
+    """The plan of bounce_boost carried out one shift call per unit."""
+    if path is BOTTOM:
+        return BOTTOM
+    if k < 0:
+        raise ValueError("boost amount must be nonnegative")
+    if k == 0:
+        return path
+    alpha = path.bounce_composition()
+    if i > len(alpha):
+        return BOTTOM
+    remaining = k
+    plan = []
+    for idx in range(i, len(alpha)):
+        take = min(max(0, alpha[i - 1] - alpha[idx]), remaining)
+        plan.append((idx, take))
+        remaining -= take
+    if remaining > 0:
+        return BOTTOM
+    cur = path
+    for idx, e in plan:
+        for _ in range(e):
+            cur = shift(cur, idx)
+            if cur is BOTTOM:
+                return BOTTOM
+    return cur
+
+
+def boost_capacity(p, i):
+    alpha = p.bounce_composition()
+    if i > len(alpha):
+        return 0
+    return sum(max(0, alpha[i - 1] - a) for a in alpha[i:])
+
+
 REFERENCE_PAIRS = (
     (add_column_cell, reference_add_column_cell),
     (remove_column_cell, reference_remove_column_cell),
@@ -268,6 +303,33 @@ def test_boost_exhausts_budget_or_bottom():
                     if q is not BOTTOM:
                         assert q.bounce() == p.bounce() + k
                         assert q.area() == p.area()
+
+
+def test_boost_matches_shift_loop_exhaustive():
+    for n in range(1, 10):
+        for p in enumerate_paths(n):
+            for i in range(1, n + 1):
+                for k in range(boost_capacity(p, i) + 2):
+                    assert bounce_boost(p, i, k) == reference_bounce_boost(p, i, k), (
+                        p.word, i, k,
+                    )
+
+
+@given(dyck_paths(max_n=30))
+@settings(max_examples=200)
+def test_boost_matches_shift_loop_random(p):
+    for i in range(1, p.n + 1):
+        for k in range(boost_capacity(p, i) + 2):
+            assert bounce_boost(p, i, k) == reference_bounce_boost(p, i, k)
+
+
+def test_boost_argument_errors():
+    p = w("NNNEENENEENNEE")
+    with pytest.raises(ValueError, match="nonnegative"):
+        bounce_boost(p, 1, -1)
+    for i in (0, p.n + 1):
+        with pytest.raises(ValueError, match="out of range"):
+            bounce_boost(p, i, 1)
 
 
 # -- up/down -----------------------------------------------------------------------

@@ -67,3 +67,15 @@ def test_deterministic_reports():
     first = [(r.name, r.passed) for r in run_suite("operators", 5)]
     second = [(r.name, r.passed) for r in run_suite("operators", 5)]
     assert first == second
+
+
+def test_checks_with_nothing_to_examine_are_skipped():
+    reports = run_suite("all", 2)
+    skipped = [r.name for r in reports if r.skipped]
+    assert skipped == ["count-bounds", "minimal-figure-counts", "top-levels"]
+    assert all(r.passed for r in reports)
+    assert all(json.loads(r.to_json())["skipped"] == r.skipped for r in reports)
+    table = format_table(reports)
+    assert "count-bounds" in table and "  skip  " in table
+    assert "0 failed, 3 skipped" in table
+    assert not any(r.skipped for r in run_suite("all", 7))

@@ -123,6 +123,12 @@ def test_bounce_path_fixed_point():
     assert DyckPath.from_word("NNEE").bounce_points() == (0, 2)
 
 
+def test_is_minimal_matches_bounce_path_exhaustive():
+    for n in range(11):
+        for p in enumerate_paths(n):
+            assert p.is_minimal() == (p == p.bounce_path()), p.word
+
+
 def test_bounce_values():
     assert DyckPath.from_word(FIGURE_ONE).bounce() == 6
     # sum of (i-1) * part for block paths
