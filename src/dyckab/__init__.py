@@ -15,7 +15,6 @@ from .paths import (
     count_paths_with_bounce_path,
     distinct_parts,
     enumerate_paths,
-    equivalence_class,
     is_partition,
     multiplicity,
     partitions,
@@ -63,6 +62,7 @@ from .extremal import (
     area_minimal,
     bounce_minimal,
     construct_path,
+    equivalence_class,
     interpolation_report,
     is_area_minimal,
     is_bounce_minimal,

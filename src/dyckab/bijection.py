@@ -44,6 +44,7 @@ from .paths import (
     is_partition,
     multiplicity,
     partitions,
+    _blocks,
     _path,
 )
 from .ops import BOTTOM, _checked, bounce_boost
@@ -108,12 +109,8 @@ def _layout(lam: tuple) -> _Layout:
     sizes = [multiplicity(lam, p) for p in bar]
     tops = tuple(reversed(list(accumulate(sizes))[:-1]))
     offsets = tuple(accumulate(m * p for m, p in zip(sizes[:-1], bar)))
-    block = None
-    if all(isinstance(a, int) and a >= 1 for a in lam):
-        starts = []
-        for a in lam:
-            starts += [len(starts)] * a
-        block = _path(tuple(starts))
+    composition = all(isinstance(a, int) and a >= 1 for a in lam)
+    block = _path(_blocks(lam)) if composition else None
     widths = tuple(reversed(sizes[:-1]))
     return _Layout(conjugate(lam), bar, widths, tops, offsets, block)
 

@@ -7,10 +7,13 @@ trade at a time (down: area + 1 / bounce - 1, up: the reverse) through
 path classes realizes every intermediate split of s, which settles which
 (area, bounce) pairs are populated.
 
-Minimal sets here are the brute-force minimizers over an exhaustive level
-decomposition; the shape conditions the theory attaches to them are kept
-as separate predicates (the area-side conditions are necessary but not
-sufficient) and compared in the verification suite.
+Everything here reads one exhaustive table, `level_sets`, capped at
+ENUMERATION_CAP.  The minimal sets are its level ends: the first key of a
+level (by area) is area-minimal, the last bounce-minimal.  The shape
+conditions the theory attaches to them are kept as separate predicates
+(the area-side conditions are necessary but not sufficient) and compared
+in the verification suite.  Classes (shared area and bounce path) come
+from one index over the levels, `_class_index`.
 """
 
 from __future__ import annotations
@@ -18,10 +21,15 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .paths import ENUMERATION_CAP, DyckPath, enumerate_with_stats
+from .paths import DyckPath, enumerate_with_stats
 from .ops import BOTTOM, add_column_cell, down, up
 from .bijection import phi, phi_inverse
 from .qbell import ab_interval_width, minimizing_composition
+
+# Largest n `level_sets`, and so everything that reads it, accepts.  The
+# table keeps every path: n = 12 (208,012 paths) takes 0.3-0.6 s and 55 MB
+# on a 2-core Xeon (Python 3.11); each further n costs about 3.5 times more.
+ENUMERATION_CAP = 12
 
 
 @lru_cache(maxsize=None)
@@ -73,6 +81,12 @@ def _class_index(n: int) -> dict:
     return out
 
 
+def equivalence_class(path):
+    """Paths sharing the area and the bounce path of ``path``, in word
+    order, from `_class_index`; n above ENUMERATION_CAP is refused."""
+    return iter(_class_index(path.n)[(path.area(), path.bounce_composition())])
+
+
 def min_ab(n: int) -> int:
     return math.comb(n, 2) - ab_interval_width(n)
 
@@ -86,44 +100,31 @@ def max_ab(n: int) -> int:
 
 def bounce_minimal(n: int) -> list:
     """Paths of least bounce within their level, in word order."""
-    best = {}
-    for (a, b) in level_sets(n):
-        s = a + b
-        if s not in best or b < best[s]:
-            best[s] = b
-    out = []
-    for (a, b), paths in level_sets(n).items():
-        if b == best[a + b]:
-            out.extend(paths)
-    out.sort()
-    return out
+    return _level_ends(n, -1)
 
 
 def area_minimal(n: int) -> list:
     """Paths of least area within their level, in word order."""
-    best = {}
-    for (a, b) in level_sets(n):
-        s = a + b
-        if s not in best or a < best[s]:
-            best[s] = a
-    out = []
-    for (a, b), paths in level_sets(n).items():
-        if a == best[a + b]:
-            out.extend(paths)
-    out.sort()
-    return out
+    return _level_ends(n, 0)
 
 
 def is_bounce_minimal(path) -> bool:
-    s = path.ab()
-    b = path.bounce()
-    return all(bb >= b for (aa, bb) in ab_level_map(path.n).get(s, ()))
+    return _is_level_end(path, -1)
 
 
 def is_area_minimal(path) -> bool:
-    s = path.ab()
-    a = path.area()
-    return all(aa >= a for (aa, bb) in ab_level_map(path.n).get(s, ()))
+    return _is_level_end(path, 0)
+
+
+def _level_ends(n: int, end: int) -> list:
+    """The paths of key ``end`` (0 or -1) of every level, in word order."""
+    lv = level_sets(n)
+    return sorted(p for keys in ab_level_map(n).values() for p in lv[keys[end]])
+
+
+def _is_level_end(path, end: int) -> bool:
+    key = (path.area(), path.bounce())
+    return ab_level_map(path.n)[sum(key)][end] == key
 
 
 def satisfies_bounce_minimal_conditions(path) -> bool:
@@ -170,10 +171,8 @@ def phi_on_minimal(n: int) -> list:
 def _first_class_step(path, operator):
     """First class member (word order) and bounce index admitting the
     operator; None when the whole class refuses."""
-    members = _class_index(path.n)[(path.area(), path.bounce_composition())]
-    for member in members:
-        m = len(member.bounce_points()) - 1
-        for j in range(1, m + 1):
+    for member in equivalence_class(path):
+        for j in range(1, len(member.bounce_points())):
             result = operator(member, j)
             if result is not BOTTOM:
                 return result
@@ -187,8 +186,7 @@ def _witnesses(n: int, s: int) -> dict:
     the level and go on while area < bounce; up moves (bounce + 1) start
     at its flip preimage, a bounce-minimal path, and go on while
     area >= bounce.  Each walk stops early where a whole class refuses."""
-    amin = min(a for a, _ in ab_level_map(n)[s])
-    start = level_sets(n)[(amin, s - amin)][0]
+    start = level_sets(n)[ab_level_map(n)[s][0]][0]
     found = {}
     cur = start
     while cur is not None and cur.area() < cur.bounce():
@@ -244,7 +242,7 @@ def bounce_interval_conjecture(n: int) -> dict:
     bounce values fill [b_min, s - b_min] with no holes."""
     failures = []
     for s, keys in ab_level_map(n).items():
-        bmin = min(b for (_, b) in keys)
+        bmin = keys[-1][1]
         have = {b for (_, b) in keys}
         want = set(range(bmin, s - bmin + 1))
         if have != want:

@@ -8,9 +8,9 @@ failure BOTTOM.
 Each operator is one edit of the row starts x (x_r is the start of row r,
 rows 1-based) followed by at most one validity check of the result.  The
 height of column c is h_c = bisect_left(x, c), the number of rows that
-start left of c.  `bounce_boost` edits one row-start list once per bounce
-index it shifts at; the conditions of those shifts are checked up front,
-so its result needs no validity check.
+start left of c.  `shift` and `bounce_boost` share one edit, `_shift_run`:
+e shifts at one bounce index, their conditions checked up front, so the
+result needs no validity check.
 
 Cell operators:
   add_area_cell(p, r)      one cell to the left of the path in row r:
@@ -22,7 +22,7 @@ Cell operators:
 
 Compound operators (i indexes bounce points):
   shift(p, i)         moves the i-th bounce point down one; area fixed,
-                      bounce + 1
+                      bounce + 1; one `_shift_run` of length 1
   unshift(p, i)       exact inverse of shift
   bounce_boost(p, i, k)  composition of shifts raising bounce by exactly k,
                       one edit per bounce index it shifts at
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
-from .paths import _path, _row_starts_ok
+from .paths import _bounce_points, _path, _row_starts_ok
 
 
 class Bottom:
@@ -127,34 +127,17 @@ def remove_column_cell(path, col):
 
 
 def shift(path, i):
-    """Trade the cells of row b_i for cells of column b_i.
-
-    With r = b_i, the s rows h_r + 1 .. b_{i+1} are exactly the rows that
-    start at r.  The move sets x_r += s and gives those s rows start
-    r - 1.  BOTTOM when i >= m, when the path misses its bounce path at
-    the corner (b_{i-1}, b_i - 1), when s = 0, or when the result is not
-    a Dyck path; otherwise area is unchanged, bounce grows by one, and
-    only the i-th bounce point moves (down by one).
-    """
+    """Trade the cells of row b_i for cells of column b_i: a `_shift_run`
+    of length 1.  BOTTOM when i >= m or the run fails; otherwise area is
+    unchanged, bounce grows by one, and only b_i moves (down by one)."""
     if path is BOTTOM:
         return BOTTOM
     _check_index(path, i, "bounce index")
-    b = path.bounce_points()
-    m = len(b) - 1
-    if i >= m:
+    x = list(path.row_starts)
+    b = _bounce_points(x)
+    if i >= len(b) - 1:
         return BOTTOM
-    x = path.row_starts
-    r = b[i]
-    if i >= 2 and bisect_left(x, b[i - 1]) == r:
-        return BOTTOM
-    lo = bisect_left(x, r)
-    s = b[i + 1] - lo
-    if s < 1:
-        return BOTTOM
-    y = list(x)
-    y[r - 1] += s
-    y[lo : b[i + 1]] = [r - 1] * s
-    return _checked(y)
+    return _path(tuple(x)) if _shift_run(x, b, i, 1) else BOTTOM
 
 
 def unshift(path, i):
@@ -195,17 +178,18 @@ def bounce_boost(path, i, k):
     up to max(0, alpha_i - alpha_{i+j}) shift applications; the budget k is
     spent greedily left to right and the last block gets the remainder.
     BOTTOM if the budget exceeds the total capacity or any shift fails.
-    k = 0 is the identity.  Each plan step is one edit, `_shift_run`, of
-    one row-start list whose bounce points are carried along.
+    k = 0 is the identity once i and k pass their checks.  Each plan step
+    is one edit, `_shift_run`, of one row-start list whose bounce points
+    are carried along.
     """
     if path is BOTTOM:
         return BOTTOM
-    if k < 0:
-        raise ValueError("boost amount must be nonnegative")
+    _check_index(path, i, "bounce index")
+    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
+        raise ValueError(f"boost amount {k!r} must be a nonnegative int")
     if k == 0:
         return path
-    _check_index(path, i, "bounce index")
-    b = list(path.bounce_points())
+    b = _bounce_points(path.row_starts)
     length = len(b) - 1
     if i > length:
         return BOTTOM

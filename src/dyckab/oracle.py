@@ -675,6 +675,8 @@ SUITES = {
 
 def run_suite(name: str, n_max: int) -> list:
     """Run one suite (or `all`) capped at n_max; deterministic order."""
+    if n_max < 0:
+        raise ValueError(f"cap {n_max} is negative")
     if name == "all":
         checks = [c for suite in SUITES.values() for c in suite]
     elif name in SUITES:

@@ -17,6 +17,8 @@ the equal-run invariant that makes this a scalar update).
 `enumerate_with_stats` yields each path object with its area and bounce;
 `enumerate_paths` and the level table of `extremal.level_sets` read it,
 and `iter_area_bounce` reads the stats alone, without path objects.
+One unchecked builder, `_blocks`, gives the block path of a composition
+to `from_composition`, `bounce_path` and the flip's layouts.
 """
 
 from __future__ import annotations
@@ -101,12 +103,7 @@ class DyckPath:
             raise ValueError(f"composition parts must be positive: {alpha!r}")
         if sum(alpha) != n:
             raise ValueError(f"composition {alpha!r} does not sum to {n}")
-        x = []
-        pos = 0
-        for a in alpha:
-            x.extend([pos] * a)
-            pos += a
-        return cls(x)
+        return _path(_blocks(alpha))
 
     # -- basic accessors ----------------------------------------------
 
@@ -182,7 +179,7 @@ class DyckPath:
         return sum(n - b for b in self.bounce_points()[1:])
 
     def bounce_path(self) -> "DyckPath":
-        return DyckPath.from_composition(self.n, self.bounce_composition())
+        return _path(_blocks(self.bounce_composition()))
 
     def ab(self) -> int:
         """area + bounce."""
@@ -244,6 +241,16 @@ def _path(x) -> DyckPath:
     return p
 
 
+def _blocks(alpha) -> tuple:
+    """Row starts of the block path N^a1 E^a1 N^a2 E^a2 ... of the
+    composition ``alpha``, whose parts are known to be positive: the rows
+    of each block start at the bounce point below it."""
+    x = []
+    for a in alpha:
+        x += [len(x)] * a
+    return tuple(x)
+
+
 def _bounce_points(x) -> list:
     """Bounce points of the path with row starts ``x``.
 
@@ -260,14 +267,6 @@ def _bounce_points(x) -> list:
 
 
 # -- enumeration -------------------------------------------------------
-
-# Largest semilength the library enumerates in full: `equivalence_class`
-# and `extremal.level_sets` (so everything that reads the levels) refuse
-# larger n.  The level table keeps every path: n = 12 (208,012 paths)
-# takes 0.3-0.6 s and 55 MB on a 2-core Xeon (Python 3.11), and each
-# further n costs about 3.5 times more.
-ENUMERATION_CAP = 12
-
 
 def enumerate_paths(n: int) -> Iterator[DyckPath]:
     """All Dyck paths of semilength n in word order (N < E), each once."""
@@ -415,7 +414,7 @@ def multiplicity(parts, size: int) -> int:
     return sum(1 for p in parts if p == size)
 
 
-# -- counting and classes -------------------------------------------------
+# -- counting --------------------------------------------------------------
 
 
 def count_paths_with_bounce_path(n: int, alpha) -> int:
@@ -431,24 +430,3 @@ def count_paths_with_bounce_path(n: int, alpha) -> int:
     for j in range(1, len(alpha)):
         out *= math.comb(alpha[j - 1] + alpha[j] - 1, alpha[j])
     return out
-
-
-def equivalence_class(path: DyckPath) -> Iterator[DyckPath]:
-    """Paths sharing the area and the bounce path of ``path``, in word order.
-
-    Realized as a filter over the full enumeration, so semilengths above
-    ENUMERATION_CAP are refused at the call.
-    """
-    n = path.n
-    if n > ENUMERATION_CAP:
-        raise ValueError(
-            f"semilength {n} is above {ENUMERATION_CAP}, the largest "
-            "equivalence_class enumerates (ENUMERATION_CAP)"
-        )
-    a = path.area()
-    alpha = path.bounce_composition()
-    return (
-        q
-        for q in enumerate_paths(n)
-        if q.area() == a and q.bounce_composition() == alpha
-    )

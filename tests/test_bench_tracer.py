@@ -1,6 +1,7 @@
 """The benchmark's tracer (perfbench/tracer.py) names library functions
-and DyckPath methods directly; removing or renaming one must fail here,
-not in a traced benchmark run."""
+and DyckPath methods directly, and its workloads (perfbench/workloads.py)
+expect a fixed number of checks; removing or renaming one, or changing
+that number, must fail here, not in a benchmark run."""
 
 import contextlib
 import io
@@ -12,7 +13,12 @@ from dyckab import bijection, cli, extremal, oracle, ops, paths, qbell
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
 
+import workloads  # noqa: E402
 from tracer import Tracer  # noqa: E402
+
+
+def test_verify_workload_check_count():
+    assert len(oracle.run_suite("all", 4)) == workloads.EXPECTED_CHECKS
 
 
 def test_tracer_installs_counts_and_uninstalls():

@@ -80,7 +80,7 @@ def test_operator_string_bottom():
 
 def test_operator_string_parse_errors():
     p = DyckPath.from_word("NENE")
-    for bad in ("Q1", "A", "B1", "A1:2", "B1:2^3"):
+    for bad in ("Q1", "A", "B1", "A1:2", "B1:2^3", "B3:0", "B99:1"):
         with pytest.raises(ValueError):
             apply_operator_string(p, bad)
 
@@ -282,6 +282,11 @@ def test_verify_json(capsys):
 def test_verify_unknown_suite(capsys):
     code, _, err = run(capsys, "verify", "--suite", "nope", "--n", "4")
     assert code == 2 and "unknown suite" in err
+
+
+def test_verify_negative_cap(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "all", "--n", "-3")
+    assert code == 2 and out == "" and "negative" in err
 
 
 def test_usage_error_bad_word(capsys):

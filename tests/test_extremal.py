@@ -4,7 +4,7 @@ import time
 import pytest
 
 from dyckab import cli
-from dyckab.paths import DyckPath, enumerate_paths, equivalence_class
+from dyckab.paths import DyckPath, enumerate_paths
 from dyckab.bijection import phi
 from dyckab.extremal import (
     ENUMERATION_CAP,
@@ -14,6 +14,7 @@ from dyckab.extremal import (
     bounce_minimal,
     bounce_interval_conjecture,
     construct_path,
+    equivalence_class,
     interpolation_report,
     is_area_minimal,
     is_bounce_minimal,

@@ -325,11 +325,13 @@ def test_boost_matches_shift_loop_random(p):
 
 def test_boost_argument_errors():
     p = w("NNNEENENEENNEE")
-    with pytest.raises(ValueError, match="nonnegative"):
-        bounce_boost(p, 1, -1)
-    for i in (0, p.n + 1):
-        with pytest.raises(ValueError, match="out of range"):
-            bounce_boost(p, i, 1)
+    for k in (-1, 1.5, True, "1"):
+        with pytest.raises(ValueError, match="nonnegative int"):
+            bounce_boost(p, 1, k)
+    for i in (0, p.n + 1, 99):
+        for k in (0, 1):
+            with pytest.raises(ValueError, match="out of range"):
+                bounce_boost(p, i, k)
 
 
 # -- up/down -----------------------------------------------------------------------

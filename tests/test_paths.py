@@ -14,12 +14,12 @@ from dyckab.paths import (
     distinct_parts,
     enumerate_paths,
     enumerate_with_stats,
-    equivalence_class,
     is_partition,
     iter_area_bounce,
     multiplicity,
     partitions,
 )
+from dyckab.extremal import equivalence_class
 
 FIGURE_ONE = "NNNEENENEENNEE"
 
@@ -280,6 +280,28 @@ def test_equivalence_class_figure_one():
 def test_equivalence_class_singleton():
     full = blocks(5, (5,))
     assert list(equivalence_class(full)) == [full]
+
+
+def reference_equivalence_class(path):
+    """The class as a filter over the full enumeration."""
+    a = path.area()
+    alpha = path.bounce_composition()
+    return (
+        q
+        for q in enumerate_paths(path.n)
+        if q.area() == a and q.bounce_composition() == alpha
+    )
+
+
+def test_equivalence_class_matches_filter_exhaustive():
+    # the filter reads only (area, bounce composition): run it once per class
+    for n in range(9):
+        want = {}
+        for p in enumerate_paths(n):
+            key = (p.area(), p.bounce_composition())
+            if key not in want:
+                want[key] = list(reference_equivalence_class(p))
+            assert list(equivalence_class(p)) == want[key], p.word
 
 
 # -- properties -------------------------------------------------------------------
