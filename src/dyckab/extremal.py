@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .paths import DyckPath, enumerate_with_stats
+from .paths import DyckPath, enumerate_with_stats, _composition, _sweep_bounce_points
 from .ops import BOTTOM, add_column_cell, down, up
 from .bijection import phi, phi_inverse
 from .qbell import ab_interval_width, minimizing_composition
@@ -73,11 +73,20 @@ def ab_level_map(n: int) -> dict:
 @lru_cache(maxsize=None)
 def _class_index(n: int) -> dict:
     """(area, bounce composition) -> class members in word order, split
-    out of the levels (a class lies inside one level)."""
+    out of the levels (a class lies inside one level).  Members are
+    grouped by their bounce points, each swept once from the row starts
+    without the sweep memo, since each is read once."""
     out = {}
     for (area, _), members in level_sets(n).items():
+        by_points = {}
         for p in members:
-            out.setdefault((area, p.bounce_composition()), []).append(p)
+            pts = _sweep_bounce_points(p.row_starts)
+            if pts in by_points:
+                by_points[pts].append(p)
+            else:
+                by_points[pts] = [p]
+        for pts, group in by_points.items():
+            out[(area, _composition(pts))] = group
     return out
 
 

@@ -8,9 +8,14 @@ failure BOTTOM.
 Each operator is one edit of the row starts x (x_r is the start of row r,
 rows 1-based) followed by at most one validity check of the result.  The
 height of column c is h_c = bisect_left(x, c), the number of rows that
-start left of c.  `shift` and `bounce_boost` share one edit, `_shift_run`:
-e shifts at one bounce index, their conditions checked up front, so the
-result needs no validity check.
+start left of c.  Bounce points and heights come from the memoized sweeps
+of `paths`, read as tuples; an edit in place works on a list copy.
+`shift` and `bounce_boost` share one edit, `_shift_run`: e shifts at one
+bounce index, their conditions checked up front, so the result needs no
+validity check.  `_boost_run` is the boost rule on one row-start list and
+its carried bounce points: it plans the shift runs of one boost and
+applies them in place.  `bounce_boost` is one `_boost_run`, and the flip's
+bounce map (`bijection._boost`) makes one per count on a single list.
 
 Cell operators:
   add_area_cell(p, r)      one cell to the left of the path in row r:
@@ -25,7 +30,7 @@ Compound operators (i indexes bounce points):
                       bounce + 1; one `_shift_run` of length 1
   unshift(p, i)       exact inverse of shift
   bounce_boost(p, i, k)  composition of shifts raising bounce by exactly k,
-                      one edit per bounce index it shifts at
+                      one `_boost_run`
   up(p, i)            area - 1, bounce + 1 (region move at bounce corner i)
   down(p, i)          exact inverse of up
 """
@@ -34,7 +39,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
-from .paths import _bounce_points, _path, _row_starts_ok
+from .paths import _bounce_points, _column_heights, _path, _row_starts_ok
 
 
 class Bottom:
@@ -64,6 +69,11 @@ def is_bottom(value) -> bool:
 def _check_index(path, i, what):
     if not isinstance(i, int) or isinstance(i, bool) or i < 1 or i > path.n:
         raise ValueError(f"{what} {i!r} out of range 1..{path.n}")
+
+
+def _check_amount(k):
+    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
+        raise ValueError(f"boost amount {k!r} must be a nonnegative int")
 
 
 def _checked(x):
@@ -133,11 +143,11 @@ def shift(path, i):
     if path is BOTTOM:
         return BOTTOM
     _check_index(path, i, "bounce index")
-    x = list(path.row_starts)
-    b = _bounce_points(x)
+    b = _bounce_points(path.row_starts)
     if i >= len(b) - 1:
         return BOTTOM
-    return _path(tuple(x)) if _shift_run(x, b, i, 1) else BOTTOM
+    x = list(path.row_starts)
+    return _path(tuple(x)) if _shift_run(x, list(b), i, 1) else BOTTOM
 
 
 def unshift(path, i):
@@ -151,12 +161,12 @@ def unshift(path, i):
     if path is BOTTOM:
         return BOTTOM
     _check_index(path, i, "bounce index")
-    b = path.bounce_points()
+    x = path.row_starts
+    b = _bounce_points(x)
     m = len(b) - 1
     if i >= m:
         return BOTTOM
     c = b[i]
-    x = path.row_starts
     if not (x[c - 1] <= b[i - 1] <= x[c]):
         return BOTTOM
     s = x[c] - b[i - 1]
@@ -178,38 +188,46 @@ def bounce_boost(path, i, k):
     up to max(0, alpha_i - alpha_{i+j}) shift applications; the budget k is
     spent greedily left to right and the last block gets the remainder.
     BOTTOM if the budget exceeds the total capacity or any shift fails.
-    k = 0 is the identity once i and k pass their checks.  Each plan step
-    is one edit, `_shift_run`, of one row-start list whose bounce points
-    are carried along.
+    k = 0 is the identity once i and k pass their checks; any other k is
+    one `_boost_run`.
     """
     if path is BOTTOM:
         return BOTTOM
     _check_index(path, i, "bounce index")
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-        raise ValueError(f"boost amount {k!r} must be a nonnegative int")
+    _check_amount(k)
     if k == 0:
         return path
-    b = _bounce_points(path.row_starts)
+    x = list(path.row_starts)
+    b = list(_bounce_points(path.row_starts))
+    return _path(tuple(x)) if _boost_run(x, b, i, k) else BOTTOM
+
+
+def _boost_run(x, b, i, k) -> bool:
+    """Raise the bounce of row starts ``x`` by k >= 1 through shifts at
+    i, i+1, ..., in place, with ``b`` the bounce points of ``x``, carried
+    along; False when the boost is BOTTOM, x and b then partly edited.
+
+    The plan reads the bounce composition before the boost: the block at
+    idx absorbs up to max(0, alpha_i - alpha_idx) shifts, spent greedily
+    left to right; each plan step is one `_shift_run`, which moves only
+    b_idx, so ``b`` stays the bounce points of ``x`` throughout.
+    """
     length = len(b) - 1
-    if i > length:
-        return BOTTOM
+    if i >= length:
+        return False
     alpha_i = b[i] - b[i - 1]
     remaining = k
     plan = []
     for idx in range(i, length):
-        if remaining == 0:
-            break
         take = min(max(0, alpha_i - (b[idx + 1] - b[idx])), remaining)
         if take:
             plan.append((idx, take))
             remaining -= take
+            if remaining == 0:
+                break
     if remaining > 0:
-        return BOTTOM
-    x = list(path.row_starts)
-    for idx, e in plan:
-        if not _shift_run(x, b, idx, e):
-            return BOTTOM
-    return _path(tuple(x))
+        return False
+    return all(_shift_run(x, b, idx, e) for idx, e in plan)
 
 
 def _shift_run(x, b, i, e) -> bool:
@@ -255,11 +273,12 @@ def up(path, i):
         return BOTTOM
     _check_index(path, i, "bounce index")
     n = path.n
-    b = path.bounce_points()
+    x = path.row_starts
+    b = _bounce_points(x)
     m = len(b) - 1
     if i > m:
         return BOTTOM
-    h = path.column_heights()
+    h = _column_heights(x)
     if i >= 2 and h[b[i - 1] - 1] == b[i]:
         return BOTTOM
     u = 0 if i == m else b[i + 1] - h[b[i] - 1]
@@ -267,7 +286,7 @@ def up(path, i):
     if cut > n:
         return BOTTOM
     beta = [h[b[i - 1] + u + 2 - j - 1] - b[i] + 1 for j in range(1, u + 1)]
-    x = list(path.row_starts)
+    x = list(x)
     for r in range(b[i], h[cut - 1] + 1):
         if x[r - 1] < cut:
             x[r - 1] = cut
@@ -287,12 +306,12 @@ def down(path, i):
         return BOTTOM
     _check_index(path, i, "bounce index")
     n = path.n
-    b = path.bounce_points()
+    x = path.row_starts
+    b = _bounce_points(x)
     m = len(b) - 1
     if i >= m:
         return BOTTOM
     c = b[i]
-    x = path.row_starts
     u = x[c] - b[i - 1] - 1
     if u < 0:
         return BOTTOM

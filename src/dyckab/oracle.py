@@ -404,26 +404,43 @@ def check_extended_round_trip(n_max):
 
 
 def check_minimal_sets(n_max):
+    """Both minimal sets equal the brute-force minima of each level, taken
+    from the `area()`/`bounce()` of every path; the bounce side equals its
+    shape characterization, and the area side meets its necessary
+    conditions."""
     for n in range(1, min(n_max, 9) + 1):
         bmin = extremal.bounce_minimal(n)
         amin = extremal.area_minimal(n)
-        characterized = [
-            p
-            for p in paths.enumerate_paths(n)
-            if extremal.satisfies_bounce_minimal_conditions(p)
-        ]
-        if sorted(bmin) != sorted(characterized):
+        characterized = []
+        least_bounce, least_area = {}, {}
+        for p in paths.enumerate_paths(n):
+            if extremal.satisfies_bounce_minimal_conditions(p):
+                characterized.append(p)
+            a, b = p.area(), p.bounce()
+            _keep_least(least_bounce, a + b, b, p)
+            _keep_least(least_area, a + b, a, p)
+        for side, got, least in (
+            ("bounce", bmin, least_bounce),
+            ("area", amin, least_area),
+        ):
+            brute = sorted(p for _, members in least.values() for p in members)
+            if sorted(got) != brute:
+                return False, {"n": n, "side": f"{side} brute force"}
+        if sorted(bmin) != characterized:
             return False, {"n": n, "side": "bounce characterization"}
         for p in amin:
             if not extremal.satisfies_area_minimal_conditions(p):
                 return False, {"n": n, "path": _record(p), "side": "area necessity"}
-        for p in bmin:
-            if not extremal.is_bounce_minimal(p):
-                return False, {"n": n, "path": _record(p)}
-        for p in amin:
-            if not extremal.is_area_minimal(p):
-                return False, {"n": n, "path": _record(p)}
     return True, None
+
+
+def _keep_least(least, level, value, path):
+    """Keep in least[level] the least value seen so far and its paths."""
+    kept = least.get(level)
+    if kept is None or value < kept[0]:
+        least[level] = (value, [path])
+    elif value == kept[0]:
+        kept[1].append(path)
 
 
 def check_flip_minimal(n_max):

@@ -13,12 +13,32 @@ from dyckab import bijection, cli, extremal, oracle, ops, paths, qbell
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
 
+import reference  # noqa: E402
 import workloads  # noqa: E402
 from tracer import Tracer  # noqa: E402
 
 
 def test_verify_workload_check_count():
     assert len(oracle.run_suite("all", 4)) == workloads.EXPECTED_CHECKS
+
+
+def test_query_workload_runs_untraced_and_traced():
+    # a crash or wrong answer on the `queries` path fails here before it
+    # fails a benchmark run
+    words = reference.query_words(1, 40, 12, 24)
+
+    def kinds():
+        return [workloads.query(word, *reference.area_bounce(word)) for word in words]
+
+    untraced = kinds()
+    tracer = Tracer()
+    tracer.install()
+    try:
+        traced = kinds()
+    finally:
+        tracer.uninstall()
+    assert traced == untraced
+    assert set(untraced) <= set(reference.CLASSIFY_KINDS)
 
 
 def test_tracer_installs_counts_and_uninstalls():

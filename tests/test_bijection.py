@@ -1,15 +1,19 @@
+from itertools import product
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyckab.paths import (
     DyckPath,
     conjugate,
+    distinct_parts,
     enumerate_paths,
     partitions,
 )
-from dyckab.ops import BOTTOM, add_area_cell
+from dyckab.ops import BOTTOM, add_area_cell, bounce_boost
 from dyckab.bijection import (
+    _boost,
     Certificate,
     NotInDomainError,
     apply_area_map,
@@ -31,6 +35,7 @@ from dyckab.bijection import (
     row_index_set,
     row_map,
 )
+from _strategies import dyck_paths
 
 WORKED_PARTITION = (6, 3, 1, 1)  # conjugate (4, 2, 2, 1, 1, 1), size 11
 WORKED_MAP = {(1, 1): 3, (1, 2): 2, (2, 1): 2}
@@ -134,6 +139,65 @@ def test_area_map_overfull_changes_bounce():
     path = apply_area_map(WORKED_PARTITION, bad)
     assert path is not BOTTOM
     assert path.bounce() != blocks(WORKED_PARTITION).bounce()
+
+
+def reference_boost(path, lam, count_map):
+    """The bounce map as a chain of public bounce_boost calls, one per
+    nonzero count, indices ordered by i then r."""
+    for (i, r) in sorted(count_map):
+        k = count_map[(i, r)]
+        if k:
+            path = bounce_boost(path, bounce_map(lam, i, r), k)
+            if path is BOTTOM:
+                return BOTTOM
+    return path
+
+
+def test_boost_matches_boost_chain_exhaustive():
+    # every count map up to the certificate bounds and one past them
+    bottoms = 0
+    for n in range(1, 10):
+        for lam in partitions(n):
+            keys = bounce_index_set(lam)
+            bounds = distinct_parts(conjugate(lam))
+            ranges = [range(bounds[i] + 1) for (i, _) in keys]
+            start = blocks(lam)
+            for values in product(*ranges):
+                f = dict(zip(keys, values))
+                got = _boost(start, lam, f)
+                assert got == reference_boost(start, lam, f), (lam, f)
+                bottoms += got is BOTTOM
+    assert bottoms > 0
+
+
+@st.composite
+def paths_with_boost_maps(draw):
+    # the path or its bounce path, which more boosts accept; lam is the
+    # sorted bounce composition or a random partition of the size, whose
+    # bounce points the path may not have
+    path = draw(dyck_paths(max_n=30))
+    if draw(st.booleans()):
+        path = path.bounce_path()
+    parts = list(path.bounce_composition())
+    if draw(st.booleans()):
+        parts, left = [], path.n
+        while left:
+            part = draw(st.integers(1, left))
+            parts.append(part)
+            left -= part
+    lam = tuple(sorted(parts, reverse=True))
+    keys = bounce_index_set(lam)
+    # half the counts zero, so that more maps stay within capacity
+    count = st.one_of(st.just(0), st.integers(1, 3))
+    values = draw(st.lists(count, min_size=len(keys), max_size=len(keys)))
+    return path, lam, dict(zip(keys, values))
+
+
+@given(paths_with_boost_maps())
+@settings(max_examples=200)
+def test_boost_matches_boost_chain_random(case):
+    path, lam, f = case
+    assert _boost(path, lam, f) == reference_boost(path, lam, f)
 
 
 def test_bounce_map_zero_is_block_path():

@@ -269,6 +269,34 @@ def test_shift_unshift_exhaustive():
                     assert shift(q, i) == p
 
 
+def reference_sweeps(x):
+    """(bounce points, column heights) of row starts x, by counting rows:
+    column c holds the rows that start left of c, and the bounce path
+    leaving point b climbs through the rows that start at or left of b."""
+    n = len(x)
+    heights = tuple(sum(1 for xr in x if xr < c) for c in range(1, n + 1))
+    pts = [0]
+    while pts[-1] < n:
+        pts.append(sum(1 for xr in x if xr <= pts[-1]))
+    return tuple(pts), heights
+
+
+def test_operators_leave_memoized_sweeps_intact():
+    # the sweeps are memoized per row-start tuple; an operator editing in
+    # place must not reach a cached result
+    boosts = [lambda p, i, k=k: bounce_boost(p, i, k) for k in range(4)]
+    for n in range(1, 9):
+        for p in enumerate_paths(n):
+            want = reference_sweeps(p.row_starts)
+            assert (p.bounce_points(), p.column_heights()) == want
+            for i in range(1, n + 1):
+                for op in [shift, unshift, up, down] + boosts:
+                    op(p, i)
+                    assert (p.bounce_points(), p.column_heights()) == want, (
+                        p.word, i,
+                    )
+
+
 # -- bounce boost -----------------------------------------------------------------
 
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from dyckab import extremal, oracle
 from dyckab.oracle import SUITES, CheckReport, format_table, run_suite
 
 
@@ -79,3 +80,11 @@ def test_checks_with_nothing_to_examine_are_skipped():
     assert "count-bounds" in table and "  skip  " in table
     assert "0 failed, 3 skipped" in table
     assert not any(r.skipped for r in run_suite("all", 7))
+
+
+def test_minimal_sets_check_catches_a_dropped_member(monkeypatch):
+    area_minimal = extremal.area_minimal
+    monkeypatch.setattr(extremal, "area_minimal", lambda n: area_minimal(n)[1:])
+    passed, detail = oracle.check_minimal_sets(6)
+    assert not passed
+    assert detail == {"n": 1, "side": "area brute force"}
