@@ -9,6 +9,7 @@ brute-force verification harness covering all of it at small semilength.
 
 from .paths import (
     DyckPath,
+    PathSequence,
     catalan,
     compositions,
     conjugate,

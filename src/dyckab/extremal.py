@@ -14,28 +14,45 @@ conditions the theory attaches to them are kept as separate predicates
 (the area-side conditions are necessary but not sufficient) and compared
 in the verification suite.  Classes (shared area and bounce path) come
 from one index over the levels, `_class_index`.
+
+The cached tables are read-only: `level_sets`, `ab_level_map` and
+`_class_index` return mapping proxies, whose values are tuples of keys or
+`paths.PathSequence`s.  A sequence stores the enumerator's row-start
+tuples and builds each path object as it is read, so the table holds no
+path object of its own.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from functools import lru_cache
+from types import MappingProxyType
 
-from .paths import DyckPath, enumerate_with_stats, _composition, _sweep_bounce_points
+from .paths import (
+    DyckPath,
+    PathSequence,
+    _composition,
+    _iter_row_starts,
+    _sweep_bounce_points,
+)
 from .ops import BOTTOM, add_column_cell, down, up
 from .bijection import phi, phi_inverse
 from .qbell import ab_interval_width, minimizing_composition
 
 # Largest n `level_sets`, and so everything that reads it, accepts.  The
-# table keeps every path: n = 12 (208,012 paths) takes 0.3-0.6 s and 55 MB
-# on a 2-core Xeon (Python 3.11); each further n costs about 3.5 times more.
+# table keeps the row starts of every path: n = 12 (208,012 paths) takes
+# about 0.3 s and a peak of 48 MB for the whole process (median of 3 fresh
+# processes, 2-core Xeon, Python 3.11); each further n costs about 3.5
+# times more.
 ENUMERATION_CAP = 12
 
 
 @lru_cache(maxsize=None)
-def level_sets(n: int) -> dict:
-    """(area, bounce) -> paths, in word order, for n <= ENUMERATION_CAP.
-    Treat as read-only.
+def level_sets(n: int) -> MappingProxyType:
+    """Read-only (area, bounce) -> `PathSequence` of the paths at that
+    pair, in word order, for n <= ENUMERATION_CAP.  The table stores the
+    enumerator's row-start tuples; members are built as they are read.
 
     The keys are the enumerator's carried stats, while the rest of this
     module reads the `DyckPath` methods; the first path of each level is
@@ -45,49 +62,43 @@ def level_sets(n: int) -> dict:
             f"semilength {n} is above {ENUMERATION_CAP}, the largest the "
             "level table enumerates (ENUMERATION_CAP)"
         )
+    groups = defaultdict(list)
+    for x, area, bounce in _iter_row_starts(n):
+        groups[area, bounce].append(x)
     out = {}
-    for p, area, bounce in enumerate_with_stats(n):
-        key = (area, bounce)
-        if key in out:
-            out[key].append(p)
-        else:
-            out[key] = [p]
-    for key, members in out.items():
+    for key, rows in groups.items():
+        members = out[key] = PathSequence(rows)
         first = members[0]
         if (first.area(), first.bounce()) != key:
             raise AssertionError(f"level {key} holds {first.word}, whose methods disagree")
-    return out
+    return MappingProxyType(out)
 
 
 @lru_cache(maxsize=None)
-def ab_level_map(n: int) -> dict:
-    """s -> sorted list of realized (area, bounce) with area + bounce = s."""
+def ab_level_map(n: int) -> MappingProxyType:
+    """Read-only s -> sorted tuple of realized (area, bounce) with
+    area + bounce = s."""
     out = {}
     for key in level_sets(n):
         out.setdefault(sum(key), []).append(key)
-    for keys in out.values():
-        keys.sort()
-    return out
+    return MappingProxyType({s: tuple(sorted(keys)) for s, keys in out.items()})
 
 
 @lru_cache(maxsize=None)
-def _class_index(n: int) -> dict:
-    """(area, bounce composition) -> class members in word order, split
-    out of the levels (a class lies inside one level).  Members are
-    grouped by their bounce points, each swept once from the row starts
-    without the sweep memo, since each is read once."""
+def _class_index(n: int) -> MappingProxyType:
+    """Read-only (area, bounce composition) -> `PathSequence` of the class
+    members in word order, split out of the levels (a class lies inside
+    one level).  Members are grouped by their bounce points, each swept
+    once from the row starts without the sweep memo, since each is read
+    once."""
     out = {}
     for (area, _), members in level_sets(n).items():
-        by_points = {}
-        for p in members:
-            pts = _sweep_bounce_points(p.row_starts)
-            if pts in by_points:
-                by_points[pts].append(p)
-            else:
-                by_points[pts] = [p]
-        for pts, group in by_points.items():
-            out[(area, _composition(pts))] = group
-    return out
+        by_points = defaultdict(list)
+        for x in members.row_starts:
+            by_points[_sweep_bounce_points(x)].append(x)
+        for pts, rows in by_points.items():
+            out[(area, _composition(pts))] = PathSequence(rows)
+    return MappingProxyType(out)
 
 
 def equivalence_class(path):
@@ -264,8 +275,8 @@ def top_levels(n: int) -> dict:
     split of C(n, 2); every realized split one below is unique."""
     s = math.comb(n, 2)
     lv = level_sets(n)
-    top_keys = ab_level_map(n).get(s, [])
-    second_keys = ab_level_map(n).get(s - 1, [])
+    top_keys = ab_level_map(n).get(s, ())
+    second_keys = ab_level_map(n).get(s - 1, ())
     top_expected = [(s - i, i) for i in range(s + 1)]
     return {
         "n": n,

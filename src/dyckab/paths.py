@@ -14,9 +14,13 @@ enumeration order.
 One enumerator, `_iter_row_starts`, walks that order and carries each
 path's area and bounce along with its row starts (see its docstring for
 the equal-run invariant that makes this a scalar update).
-`enumerate_with_stats` yields each path object with its area and bounce;
-`enumerate_paths` and the level table of `extremal.level_sets` read it,
-and `iter_area_bounce` reads the stats alone, without path objects.
+`enumerate_with_stats` yields each path object with its area and bounce,
+and `enumerate_paths` reads it; `iter_area_bounce` reads the stats alone,
+and the level table of `extremal.level_sets` groups the row-start tuples,
+both without path objects.  `PathSequence` is how such a table hands its
+members out: a read-only sequence over row-start tuples that builds each
+path as it is read, so a table of 208,012 paths holds plain tuples, not
+one path object each.
 One unchecked builder, `_blocks`, gives the block path of a composition
 to `from_composition`, `bounce_path` and the flip's layouts.
 
@@ -36,6 +40,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from functools import lru_cache
 from typing import Iterator
 
@@ -236,6 +241,39 @@ class DyckPath:
             "area_seq": list(self.area_sequence()),
             "floating": self.floating_cell_count(),
         }
+
+
+class PathSequence(Sequence):
+    """Read-only sequence of paths, stored as their row-start tuples.
+
+    Each read builds the path afresh, so a large table holds plain tuples
+    instead of one path object per member.  ``rows`` holds tuples of valid
+    row starts, as the enumerator yields them; they are not checked.
+    Compare contents with ``list(...)``: no ``__eq__`` is defined."""
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows):
+        self._rows = tuple(rows)
+
+    @property
+    def row_starts(self) -> tuple:
+        """The members' row-start tuples, in order."""
+        return self._rows
+
+    def __len__(self):
+        return len(self._rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return PathSequence(self._rows[i])
+        return _path(self._rows[i])
+
+    def __iter__(self):
+        return map(_path, self._rows)
+
+    def __repr__(self):
+        return f"PathSequence({len(self._rows)} paths)"
 
 
 def _row_starts_ok(x):

@@ -41,6 +41,23 @@ def test_query_workload_runs_untraced_and_traced():
     assert set(untraced) <= set(reference.CLASSIFY_KINDS)
 
 
+def test_tables_workload_runs_untraced_and_traced():
+    # a crash on the `tables` path fails here before it fails a benchmark
+    # run; the traced pass builds the level table again
+    operations = workloads._tables({"sizes": reference.SIZES["tiny"]["tables"]})
+    for _, op in operations:
+        op()
+    extremal.level_sets.cache_clear()
+    tracer = Tracer()
+    tracer.install()
+    try:
+        for _, op in operations:
+            op()
+    finally:
+        tracer.uninstall()
+    assert tracer.report()["counters"]["extremal.level_sets.misses"] >= 1
+
+
 def test_tracer_installs_counts_and_uninstalls():
     bound = (
         (bijection, "iter_certificates"),

@@ -4,10 +4,11 @@ import time
 import pytest
 
 from dyckab import cli
-from dyckab.paths import DyckPath, enumerate_paths
+from dyckab.paths import DyckPath, PathSequence, enumerate_paths
 from dyckab.bijection import phi
 from dyckab.extremal import (
     ENUMERATION_CAP,
+    _class_index,
     ab_ladder,
     ab_level_map,
     area_minimal,
@@ -54,7 +55,8 @@ def test_level_sets_match_grouping_by_methods():
         for p in enumerate_paths(n):
             grouped.setdefault((p.area(), p.bounce()), []).append(p)
         # same keys in the same order, each list in word order
-        assert list(level_sets(n).items()) == list(grouped.items())
+        have = [(key, list(members)) for key, members in level_sets(n).items()]
+        assert have == list(grouped.items())
 
 
 def test_level_sets_refuse_stats_the_methods_disagree_with(monkeypatch):
@@ -82,6 +84,56 @@ def test_enumerating_functions_refuse_above_cap():
     assert time.perf_counter() - start < 1.0
 
 
+def assert_sequence_matches(seq, want):
+    """``seq``, a PathSequence, reads exactly as the list ``want``."""
+    assert isinstance(seq, PathSequence)
+    assert len(seq) == len(want)
+    assert list(seq) == want
+    assert seq[0] == want[0] and seq[-1] == want[-1]
+    assert list(seq[1:-1:2]) == want[1:-1:2]
+    assert list(reversed(seq)) == want[::-1]
+    for i in {0, len(want) // 2, len(want) - 1}:
+        assert want[i] in seq
+        assert seq.index(want[i]) == i
+    assert seq.row_starts == tuple(p.row_starts for p in want)
+
+
+def test_path_sequences_match_grouping_by_methods():
+    for n in range(11):
+        levels, classes = {}, {}
+        for p in enumerate_paths(n):
+            levels.setdefault((p.area(), p.bounce()), []).append(p)
+            classes.setdefault((p.area(), p.bounce_composition()), []).append(p)
+        outside = DyckPath.from_composition(n + 1, (n + 1,))
+        for table, want in ((level_sets(n), levels), (_class_index(n), classes)):
+            assert set(table) == set(want)
+            for key, members in table.items():
+                assert_sequence_matches(members, want[key])
+                assert outside not in members
+
+
+def test_cached_tables_refuse_mutation():
+    # the first value of ab_level_map(5) is level 10; clearing it once
+    # made every later bounce_minimal(5) raise IndexError
+    before = (bounce_minimal(5), area_minimal(5), [is_bounce_minimal(p) for p in enumerate_paths(5)])
+    tables = (level_sets(5), ab_level_map(5), _class_index(5))
+    try:
+        for table in tables:
+            key, value = next(iter(table.items()))
+            with pytest.raises(TypeError):
+                table[key] = value
+            with pytest.raises(AttributeError):
+                value.append(value[0])
+            with pytest.raises(AttributeError):
+                value.clear()
+        after = (bounce_minimal(5), area_minimal(5), [is_bounce_minimal(p) for p in enumerate_paths(5)])
+        assert after == before
+    finally:
+        # a table that accepted an edit must not leak it into later tests
+        for cached in (level_sets, ab_level_map, _class_index):
+            cached.cache_clear()
+
+
 def test_level_sets_small():
     lv = level_sets(2)
     assert set(lv) == {(1, 0), (0, 1)}
@@ -91,8 +143,8 @@ def test_level_sets_small():
 def test_level_sets_extremes():
     for n in (3, 5):
         lv = level_sets(n)
-        assert lv[(math.comb(n, 2), 0)] == [blocks((n,))]
-        assert lv[(0, math.comb(n, 2))] == [blocks((1,) * n)]
+        assert list(lv[(math.comb(n, 2), 0)]) == [blocks((n,))]
+        assert list(lv[(0, math.comb(n, 2))]) == [blocks((1,) * n)]
 
 
 def test_levels_in_seven():

@@ -7,6 +7,7 @@ from _strategies import dyck_paths
 
 from dyckab.paths import (
     DyckPath,
+    PathSequence,
     catalan,
     compositions,
     conjugate,
@@ -228,6 +229,23 @@ def test_iter_area_bounce_agrees_with_objects():
         assert list(enumerate_with_stats(n)) == [
             (p, a, b) for p, (a, b) in zip(enumerate_paths(n), methods)
         ]
+
+
+def test_path_sequence_reads_like_a_tuple_and_refuses_edits():
+    paths = list(enumerate_paths(4))
+    seq = PathSequence(p.row_starts for p in paths)
+    assert len(seq) == 14 and list(seq) == paths
+    assert seq[-14] == paths[0] and seq[13] == paths[-1]
+    assert isinstance(seq[2:5], PathSequence) and list(seq[2:5]) == paths[2:5]
+    assert seq.count(paths[3]) == 1 and seq.index(paths[3]) == 3
+    assert DyckPath.from_word("NE") not in seq
+    for bad in (14, -15):
+        with pytest.raises(IndexError):
+            seq[bad]
+    with pytest.raises(TypeError):
+        seq[0] = paths[1]
+    with pytest.raises(TypeError):
+        del seq[0]
 
 
 def test_enumerators_reject_negative_semilength():
