@@ -10,9 +10,10 @@ path classes realizes every intermediate split of s, which settles which
 Everything here reads one exhaustive table, `level_sets`, capped at
 ENUMERATION_CAP.  The minimal sets are its level ends: the first key of a
 level (by area) is area-minimal, the last bounce-minimal.  The shape
-conditions the theory attaches to them are kept as separate predicates
-(the area-side conditions are necessary but not sufficient) and compared
-in the verification suite.  Classes (shared area and bounce path) come
+conditions the theory attaches to them are kept as separate predicates and
+compared in the verification suite.  Both are necessary but not
+sufficient: the area-side one admits a non-minimal path at n = 6, the
+bounce-side one from n = 13 on.  Classes (shared area and bounce path) come
 from one index over the levels, `_class_index`.
 
 The cached tables are read-only: `level_sets`, `ab_level_map` and
@@ -149,7 +150,11 @@ def _is_level_end(path, end: int) -> bool:
 
 def satisfies_bounce_minimal_conditions(path) -> bool:
     """Strict-partition bounce composition, floating cells at most one
-    below the smallest consecutive-part gap."""
+    below the smallest consecutive-part gap.  Necessary for
+    bounce-minimality, not sufficient: it selects exactly
+    `bounce_minimal(n)` for n <= 12 (the verification suite checks
+    n <= 9), but admits the non-minimal block path of (7, 3, 2, 1) at
+    n = 13."""
     alpha = path.bounce_composition()
     if any(alpha[i] <= alpha[i + 1] for i in range(len(alpha) - 1)):
         return False

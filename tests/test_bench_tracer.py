@@ -16,10 +16,26 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 import reference  # noqa: E402
 import workloads  # noqa: E402
 from tracer import Tracer  # noqa: E402
+from workclock import WorkClock  # noqa: E402
 
 
 def test_verify_workload_check_count():
     assert len(oracle.run_suite("all", 4)) == workloads.EXPECTED_CHECKS
+
+
+def test_verify_workload_runs_untraced_and_traced():
+    # the workload rewraps each SUITES entry as (name, range, fn) and calls
+    # fn with one argument; a change to that protocol fails every check
+    job = {"workload": "verify", "sizes": 4}
+    untraced = workloads.run(job, None, WorkClock(calibrate=False))
+    tracer = Tracer()
+    tracer.install()
+    try:
+        traced = workloads.run(job, tracer, WorkClock(calibrate=False))
+    finally:
+        tracer.uninstall()
+    for result in (untraced, traced):
+        assert (result["attempted"], result["failed"]) == (33, 0), result["failures"]
 
 
 def test_query_workload_runs_untraced_and_traced():

@@ -200,6 +200,18 @@ def test_area_minimal_conditions_necessary_not_sufficient():
     assert not is_area_minimal(extra)
 
 
+def test_bounce_minimal_conditions_necessary_not_sufficient():
+    # the block path of (7, 3, 2, 1) passes, yet (6, 5, 2) has less bounce
+    # on the same level 35, so the conditions admit a non-minimal path
+    extra = DyckPath.from_word("NNNNNNNEEEEEEENNNEEENNEENE")
+    assert extra.bounce_composition() == (7, 3, 2, 1)
+    assert (extra.area(), extra.bounce()) == (25, 10)
+    assert satisfies_bounce_minimal_conditions(extra)
+    lower = DyckPath.from_word("NNNNNNEEEEEENNNNNEEEEENNEE")
+    assert lower.bounce_composition() == (6, 5, 2)
+    assert (lower.area(), lower.bounce()) == (26, 9)
+
+
 def test_minimal_seven_figures():
     bmin = bounce_minimal(7)
     amin = area_minimal(7)

@@ -70,7 +70,7 @@ def test_deterministic_reports():
     assert first == second
 
 
-def test_checks_with_nothing_to_examine_are_skipped():
+def test_checks_with_nothing_to_examine_are_skipped(monkeypatch):
     reports = run_suite("all", 2)
     skipped = [r.name for r in reports if r.skipped]
     assert skipped == ["count-bounds", "minimal-figure-counts", "top-levels"]
@@ -79,12 +79,72 @@ def test_checks_with_nothing_to_examine_are_skipped():
     table = format_table(reports)
     assert "count-bounds" in table and "  skip  " in table
     assert "0 failed, 3 skipped" in table
+    ranges = {r.name: r.n_range for r in reports}
+    assert ranges["word-round-trip"] == "0<=n<=2 (cap 2)"
+    assert ranges["count-bounds"] == "n>=5 (cap 2)"
+    assert ranges["figure-one-exact"] == "fixed (cap 2)"
     assert not any(r.skipped for r in run_suite("all", 7))
+    # at cap 0 only the fixed checks and the ranges that start at n = 0 run;
+    # a skipped check is never called
+    for suite, checks in SUITES.items():
+        monkeypatch.setitem(SUITES, suite, [
+            (name, sizes, fn if sizes is None or sizes.start == 0 else None)
+            for name, sizes, fn in checks
+        ])
+    reports = run_suite("all", 0)
+    assert sum(r.skipped for r in reports) == 24
+    assert sum(not r.skipped for r in reports) == 9
+    assert all(r.passed for r in reports)
+    assert "0 failed, 24 skipped" in format_table(reports)
+    assert reports[1].n_range == "n=0 (cap 0)"  # word-round-trip
+
+
+def test_declared_ranges():
+    # (first n, last n) of each ranged check; a narrowed range fails here
+    declared = {
+        name: None if sizes is None else (sizes.start, sizes.stop - 1)
+        for checks in SUITES.values()
+        for name, sizes, _ in checks
+    }
+    assert declared == {
+        "figure-one-exact": None,
+        "word-round-trip": (0, 9),
+        "product-formula": (1, 10),
+        "conjugate-ab-pairs": (1, 12),
+        "bounce-path-fixed-point": (1, 9),
+        "operator-deltas": (1, 8),
+        "inverse-pairs": (1, 8),
+        "bottom-absorption": None,
+        "shape-lemmas": (1, 8),
+        "existence-scans": (1, 8),
+        "certificate-ab-pairs": (1, 10),
+        "flip-round-trip": (1, 10),
+        "classify-consistency": (1, 9),
+        "count-bounds": (5, 12),
+        "flip-closure-symmetry": (1, 10),
+        "extended-pairs-build": (1, 9),
+        "commutation": (1, 9),
+        "extended-round-trip": (1, 9),
+        "minimal-sets": (1, 9),
+        "flip-minimal-bijection": (1, 9),
+        "minimal-figure-counts": (7, 7),
+        "nonemptiness-symmetry": (1, 10),
+        "construct-exact": (1, 9),
+        "interpolation": (1, 9),
+        "top-levels": (3, 9),
+        "ab-interval": (1, 10),
+        "bounce-interval-conjecture": (1, 9),
+        "distinct-ab-reference": None,
+        "qbell-support": (0, 20),
+        "bell-evaluation": (0, 20),
+        "q-binomial-lattice": None,
+        "distinct-ab-brute": (0, 12),
+        "f-symmetry": (0, 11),
+    }
 
 
 def test_minimal_sets_check_catches_a_dropped_member(monkeypatch):
     area_minimal = extremal.area_minimal
     monkeypatch.setattr(extremal, "area_minimal", lambda n: area_minimal(n)[1:])
-    passed, detail = oracle.check_minimal_sets(6)
-    assert not passed
+    detail = oracle.check_minimal_sets(range(1, 7))
     assert detail == {"n": 1, "side": "area brute force"}
