@@ -2,7 +2,8 @@
 
 Every verb is a thin shell over one library call.  Semantic bottom results
 print "bottom" and exit 0 (a defined outcome scripts can probe); usage
-errors go to stderr with a nonzero exit.
+errors, and inputs that exhaust memory or the stack, print one
+"error: ..." line on stderr and exit 2, with no traceback.
 """
 
 from __future__ import annotations
@@ -197,6 +198,11 @@ def main(argv=None) -> int:
         return _dispatch(args)
     except (ValueError, bijection.NotInDomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (RecursionError, MemoryError) as exc:
+        # an input too large for this process: one line, no traceback
+        reason = f"{type(exc).__name__}: {exc}" if str(exc) else type(exc).__name__
+        print(f"error: {reason}", file=sys.stderr)
         return 2
 
 

@@ -16,11 +16,12 @@ sufficient: the area-side one admits a non-minimal path at n = 6, the
 bounce-side one from n = 13 on.  Classes (shared area and bounce path) come
 from one index over the levels, `_class_index`.
 
-The cached tables are read-only: `level_sets`, `ab_level_map` and
-`_class_index` return mapping proxies, whose values are tuples of keys or
-`paths.PathSequence`s.  A sequence stores the enumerator's row-start
-tuples and builds each path object as it is read, so the table holds no
-path object of its own.
+The cached tables are read-only: `level_sets`, `ab_level_map`,
+`_class_index` and the walk witnesses `_witnesses` return mapping
+proxies, whose values are tuples of keys, `paths.PathSequence`s or
+frozen paths.  A sequence stores the enumerator's row-start tuples and
+builds each path object as it is read, so a level table holds no path
+object of its own.
 """
 
 from __future__ import annotations
@@ -205,12 +206,13 @@ def _first_class_step(path, operator):
 
 
 @lru_cache(maxsize=None)
-def _witnesses(n: int, s: int) -> dict:
-    """(area, bounce) -> witness, for every pair two walks through level s
-    reach.  Down moves (area + 1) start at the first area-minimal path of
-    the level and go on while area < bounce; up moves (bounce + 1) start
-    at its flip preimage, a bounce-minimal path, and go on while
-    area >= bounce.  Each walk stops early where a whole class refuses."""
+def _witnesses(n: int, s: int) -> MappingProxyType:
+    """(area, bounce) -> witness, read-only, for every pair two walks
+    through level s reach.  Down moves (area + 1) start at the first
+    area-minimal path of the level and go on while area < bounce; up
+    moves (bounce + 1) start at its flip preimage, a bounce-minimal path,
+    and go on while area >= bounce.  Each walk stops early where a whole
+    class refuses."""
     start = level_sets(n)[ab_level_map(n)[s][0]][0]
     found = {}
     cur = start
@@ -221,7 +223,7 @@ def _witnesses(n: int, s: int) -> dict:
     while cur is not None and cur.area() >= cur.bounce():
         found[(cur.area(), cur.bounce())] = cur
         cur = _first_class_step(cur, up)
-    return found
+    return MappingProxyType(found)
 
 
 def construct_path(n: int, a: int, b: int):

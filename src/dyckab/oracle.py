@@ -532,11 +532,24 @@ def check_distinct_ab_reference(sizes):
 
 
 def check_qbell_support(sizes):
+    """q_bell(n) has no zero coefficient in degrees 0..width(n), and as
+    many nonzero coefficients as the nonzero cells of `qt_catalan(n)` have
+    distinct area + bounce totals: the paper's count theorem, read off
+    Haglund's formula instead of enumerated paths."""
     for n in sizes:
         coeffs = qbell.q_bell(n)
         width = qbell.ab_interval_width(n)
         if len(coeffs) != width + 1 or any(c <= 0 for c in coeffs):
             return {"n": n, "coeffs": list(coeffs)}
+        totals = {
+            a + b
+            for a, row in enumerate(qbell.qt_catalan(n).rows)
+            for b, count in enumerate(row)
+            if count
+        }
+        nonzero = sum(1 for c in coeffs if c)
+        if len(totals) != nonzero:
+            return {"n": n, "distinct_totals": len(totals), "nonzero_coeffs": nonzero}
 
 
 def check_bell_evaluation(sizes):

@@ -11,12 +11,13 @@ the w-bit digits of one integer; a product of polynomials is then a
 single big-integer product, read back digit by digit, and exact as long
 as no coefficient outgrows w bits.  `poly_mul` is this kernel for tuples.
 `q_binomial` evaluates the Gaussian product formula at q = 2**w,
-`q_bell` sums its recurrence as one packed dot product, with 2**w above
-Bell(n), the largest coefficient it meets, and `qt_catalan` keeps the
-whole (area, bounce) table packed as one integer, with
-t = 2**(w * (C(n,2) + 1)), while it sums Haglund's bounce formula.  Each
-result is unpacked once, at the end.  Enumerating paths
-(`paths.iter_area_bounce`) serves only as the oracle for these tables.
+`q_bell` fills a q-Bell triangle (a q-analogue of Aitken's array) with
+shifts and additions alone, at 2**w above Bell(n), the largest
+coefficient it meets, and `qt_catalan` keeps the whole (area, bounce)
+table packed as one integer, with t = 2**(w * (C(n,2) + 1)), while it
+sums Haglund's bounce formula.  Each result is unpacked once, at the
+end.  Enumerating paths (`paths.iter_area_bounce`) serves only as the
+oracle for these tables.
 
 The width function here drives everything downstream: width(n) is both the
 degree of the q-Bell polynomial and the length of the interval of realized
@@ -146,25 +147,38 @@ def q_bell(n: int) -> tuple:
 
         B_n(q) = sum over k < n of [n-1 choose k]_q B_k(q),
 
-    as one packed dot product at q = 2**w, w = 8 * (bits(Bell(n)) // 8 + 1):
-    the row of Gaussian polynomials comes from the q-Pascal rule
-    [m choose k] = [m-1 choose k-1] + q**k [m-1 choose k] at 2**w, the
-    cached B_k are packed at the same w (asked for in increasing k, so a
-    cold call recurses one level deep), and B_n is read back once, every
-    digit of it.  Every coefficient met is a nonnegative count of at most
-    Bell(n) < 2**w (a Gaussian coefficient is at most 2**(n-1) <= Bell(n)),
-    so no digit carries.  The weight-1 specialization is the Bell number,
-    and the nonzero coefficients sit in degrees 0..width(n) with no gaps."""
+    summed by a q-Bell triangle, the q-analogue of Aitken's array.  Let
+
+        W(m, j) = sum over k of q**(j(m-k)) [m choose k]_q B_(k+j),
+
+    so W(0, j) = B_j and W(m, 0) = B_(m+1).  The q-Pascal rule
+    [m choose k] = [m-1 choose k] + q**(m-k) [m-1 choose k-1] splits
+    W(m, j) into q**j W(m-1, j) and, with k - 1 for k, W(m-1, j+1):
+
+        W(m, j) = q**j W(m-1, j) + W(m-1, j+1).
+
+    The entries do not depend on n.  Diagonal d holds W(m, d-m) for
+    m = 0..d; it opens with B_d, the last entry of diagonal d-1, and
+    each further entry is one shift and one add of the diagonal before.
+    Diagonals 0..n-1 end with B_n, after about n**2/2 shift-adds of
+    integers packed at q = 2**w, w = 8 * (bits(Bell(n)) // 8 + 1), and
+    B_n is read back once, every digit of it.  No digit carries: every
+    coefficient of W(m, j) is nonnegative, and at q = 1 W(m, j) counts the
+    set partitions of m+j+1 elements in which the last element's block
+    avoids j fixed others, so each is at most Bell(m+j+1) <= Bell(n)
+    < 2**w.  The weight-1 specialization is the Bell number, and the
+    nonzero coefficients sit in degrees 0..width(n) with no gaps."""
     if n < 0:
         raise ValueError("semilength must be nonnegative")
-    if n == 0:
-        return (1,)
     nbytes = bell_number(n).bit_length() // 8 + 1
     w = 8 * nbytes
-    row = [1]  # [m choose k]_q at 2**w for k = 0..m
-    for m in range(1, n):
-        row = [1, *(row[k - 1] + (row[k] << (w * k)) for k in range(1, m)), 1]
-    value = sum(gauss * _pack(q_bell(k), nbytes) for k, gauss in enumerate(row))
+    diagonal = [1]  # diagonal 0: W(0, 0) = B_0
+    for d in range(1, n):
+        row = [diagonal[-1]]
+        for m in range(1, d + 1):
+            row.append((diagonal[m - 1] << (w * (d - m))) + row[-1])
+        diagonal = row
+    value = diagonal[-1]
     return tuple(_unpack(value, nbytes, -(-value.bit_length() // w)))
 
 

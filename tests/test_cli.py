@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from dyckab import qbell
 from dyckab.cli import ENUMERATION_CAP, apply_operator_string, main, render
 from dyckab.extremal import level_sets
 from dyckab.ops import BOTTOM
@@ -248,6 +249,23 @@ def test_qbell_subcommand(capsys):
     assert code == 0 and out.strip() == "4 + q"
     code, out, err = run(capsys, "qbell", "--n", "-1")
     assert code == 2 and not out and "nonnegative" in err
+
+
+def test_resource_exhaustion_is_one_error_line(capsys, monkeypatch):
+    for exc, want in (
+        (MemoryError(), "error: MemoryError\n"),
+        (
+            RecursionError("maximum recursion depth exceeded"),
+            "error: RecursionError: maximum recursion depth exceeded\n",
+        ),
+    ):
+
+        def exhausted(n, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(qbell, "q_bell", exhausted)
+        code, out, err = run(capsys, "qbell", "--n", "5")
+        assert (code, out, err) == (2, "", want)
 
 
 def test_sequence_d(capsys):

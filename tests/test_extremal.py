@@ -9,6 +9,7 @@ from dyckab.bijection import phi
 from dyckab.extremal import (
     ENUMERATION_CAP,
     _class_index,
+    _witnesses,
     ab_ladder,
     ab_level_map,
     area_minimal,
@@ -251,6 +252,30 @@ def test_construct_empty_levels():
     assert construct_path(4, 6, 6) is None
     assert construct_path(4, 5, 0) is None
     assert construct_path(3, -1, 2) is None
+
+
+def test_witnesses_refuse_mutation():
+    def answers():
+        return [
+            construct_path(n, a, b)
+            for n in range(1, 9)
+            for a in range(math.comb(n, 2) + 1)
+            for b in range(math.comb(n, 2) + 1 - a)
+        ]
+
+    before = answers()
+    try:
+        for s in ab_level_map(5):
+            witnesses = _witnesses(5, s)
+            key = next(iter(witnesses))
+            with pytest.raises(TypeError):
+                witnesses[key] = None
+            with pytest.raises(TypeError):
+                del witnesses[key]
+        assert answers() == before
+    finally:
+        # a table that accepted an edit must not leak it into later tests
+        _witnesses.cache_clear()
 
 
 def test_construct_matches_realizability():

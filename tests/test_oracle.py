@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from dyckab import extremal, oracle
+from dyckab import extremal, oracle, qbell
 from dyckab.oracle import SUITES, CheckReport, format_table, run_suite
 
 
@@ -148,3 +148,14 @@ def test_minimal_sets_check_catches_a_dropped_member(monkeypatch):
     monkeypatch.setattr(extremal, "area_minimal", lambda n: area_minimal(n)[1:])
     detail = oracle.check_minimal_sets(range(1, 7))
     assert detail == {"n": 1, "side": "area brute force"}
+
+
+def test_qbell_support_check_catches_a_dropped_coefficient(monkeypatch):
+    q_bell = qbell.q_bell
+    monkeypatch.setattr(qbell, "q_bell", lambda n: q_bell(n)[:-1])
+    assert oracle.check_qbell_support(range(21)) is not None
+    # with the width recursion agreeing, the realized totals still object
+    width = qbell.ab_interval_width
+    monkeypatch.setattr(qbell, "ab_interval_width", lambda n: width(n) - 1)
+    detail = oracle.check_qbell_support(range(21))
+    assert detail == {"n": 0, "distinct_totals": 1, "nonzero_coeffs": 0}

@@ -121,6 +121,16 @@ def test_q_bell_matches_reference_recursion():
     assert [q_bell(n) for n in range(46)] == reference_q_bells(45)
 
 
+def test_q_bell_cold_call_is_one_entry():
+    # the triangle does not recurse into q_bell(k) for k < n
+    q_bell.cache_clear()
+    try:
+        q_bell(50)
+        assert q_bell.cache_info().misses == 1
+    finally:
+        q_bell.cache_clear()
+
+
 def test_q_bell_base_cases():
     assert q_bell(0) == (1,)
     assert q_bell(1) == (1,)
@@ -128,7 +138,7 @@ def test_q_bell_base_cases():
 
 
 def test_q_bell_weight_one_is_bell():
-    for n in [*range(16), 60]:
+    for n in [*range(16), 60, 80, 100]:
         assert poly_eval(q_bell(n), 1) == bell_number(n)
 
 
@@ -137,7 +147,7 @@ def test_bell_numbers():
 
 
 def test_q_bell_support_is_gap_free():
-    for n in [*range(21), 60]:
+    for n in [*range(21), 60, 80, 100]:
         coeffs = q_bell(n)
         assert len(coeffs) == ab_interval_width(n) + 1
         assert all(c > 0 for c in coeffs)
