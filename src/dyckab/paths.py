@@ -11,16 +11,20 @@ row_starts[r-1] <= r-1.  Sorting paths by row starts coincides with
 lexicographic order on words with N < E, which is the documented
 enumeration order.
 
-One enumerator, `_iter_row_starts`, walks that order and carries each
-path's area and bounce along with its row starts (see its docstring for
-the equal-run invariant that makes this a scalar update).
-`enumerate_with_stats` yields each path object with its area and bounce,
-and `enumerate_paths` reads it; `iter_area_bounce` reads the stats alone,
-and the level table of `extremal.level_sets` groups the row-start tuples,
-both without path objects.  `PathSequence` is how such a table hands its
-members out: a read-only sequence over row-start tuples that builds each
-path as it is read, so a table of 208,012 paths holds plain tuples, not
-one path object each.
+One enumerator, `_iter_runs`, walks that order one run at a time: the
+paths that share rows 1..n-1 and differ only in where the last row
+starts.  It carries each prefix's area and bounce (see its docstring for
+the equal-run invariant that makes this a scalar update), and its readers
+run through the last row themselves.  `enumerate_with_stats` yields each
+path object with its area and bounce, and `enumerate_paths` reads it;
+`iter_area_bounce` reads the stats alone, and the level table of
+`extremal.level_sets` packs the row starts into bytes, both without a
+path object or a row-start tuple per path.  `PathSequence` is how such a
+table hands its members out: a read-only sequence over one bytes blob of
+row starts, n bytes per path, that builds each path as it is read, so a
+table of 208,012 paths holds 2.5 MB of bytes, not one object per path.
+A blob holds row starts up to 255, so a `PathSequence` holds paths of
+semilength at most 256; the level tables stop at 12.
 One unchecked builder, `_blocks`, gives the block path of a composition
 to `from_composition`, `bounce_path` and the flip's layouts.
 
@@ -42,6 +46,7 @@ import math
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from functools import lru_cache
+from itertools import repeat
 from typing import Iterator
 
 # Entries of each sweep memo.  On a stream of 8,000 random paths at
@@ -244,36 +249,68 @@ class DyckPath:
 
 
 class PathSequence(Sequence):
-    """Read-only sequence of paths, stored as their row-start tuples.
+    """Read-only sequence of paths of one semilength n <= 256, stored as
+    one bytes blob of their row starts, n bytes per path.
 
-    Each read builds the path afresh, so a large table holds plain tuples
-    instead of one path object per member.  ``rows`` holds tuples of valid
-    row starts, as the enumerator yields them; they are not checked.
-    Compare contents with ``list(...)``: no ``__eq__`` is defined."""
+    Each read builds the path afresh, so a large table holds one byte per
+    row instead of one path object per member.  ``rows`` holds row-start
+    tuples of valid paths, as the enumerator yields them; they are not
+    checked as paths, but a row start outside 0..255 or rows of different
+    lengths are refused with ValueError.  Compare contents with
+    ``list(...)``: no ``__eq__`` is defined."""
 
-    __slots__ = ("_rows",)
+    __slots__ = ("_blob", "_n", "_len")
 
     def __init__(self, rows):
-        self._rows = tuple(rows)
+        try:
+            rows = [bytes(x) for x in rows]
+        except ValueError:
+            raise ValueError("row starts must lie in 0..255, one byte each") from None
+        n = len(rows[0]) if rows else 0
+        if any(len(x) != n for x in rows):
+            raise ValueError("rows of different semilengths")
+        self._blob = b"".join(rows)
+        self._n = n
+        self._len = len(rows)
+
+    def _rows(self):
+        """The members' row-start tuples, one at a time."""
+        if self._n == 0:
+            return repeat((), self._len)
+        return zip(*[iter(self._blob)] * self._n)
 
     @property
     def row_starts(self) -> tuple:
         """The members' row-start tuples, in order."""
-        return self._rows
+        return tuple(self._rows())
 
     def __len__(self):
-        return len(self._rows)
+        return self._len
 
     def __getitem__(self, i):
+        n, blob = self._n, self._blob
+        # indexing a range bounds i, negative or not, exactly as a tuple would
+        picked = range(self._len)[i]
         if isinstance(i, slice):
-            return PathSequence(self._rows[i])
-        return _path(self._rows[i])
+            return _packed(b"".join([blob[k * n : k * n + n] for k in picked]), n, len(picked))
+        k = picked * n
+        return _path(tuple(blob[k : k + n]))
 
     def __iter__(self):
-        return map(_path, self._rows)
+        return map(_path, self._rows())
 
     def __repr__(self):
-        return f"PathSequence({len(self._rows)} paths)"
+        return f"PathSequence({self._len} paths)"
+
+
+def _packed(blob, n, count) -> PathSequence:
+    """The sequence of the ``count`` paths of semilength ``n`` whose row
+    starts ``blob`` (bytes) concatenates, already known to be valid."""
+    seq = PathSequence.__new__(PathSequence)
+    seq._blob = blob
+    seq._n = n
+    seq._len = count
+    return seq
 
 
 def _row_starts_ok(x):
@@ -347,13 +384,25 @@ def enumerate_paths(n: int) -> Iterator[DyckPath]:
 def enumerate_with_stats(n: int) -> Iterator[tuple]:
     """(path, area, bounce) for all Dyck paths of semilength n in word
     order, the statistics read off the enumerator's carried values."""
-    for x, area, bounce in _iter_row_starts(n):
-        yield _path(x), area, bounce
+    for prefix, area, bounce, last in _iter_runs(n):
+        for v in range(prefix[-1], n):
+            yield _path(prefix + (v,)), area - v, bounce + (v > last)
+    if n < 2:
+        yield _path((0,) * n), 0, 0
 
 
-def _iter_row_starts(n):
-    """(row starts, area, bounce) of every path of semilength n, row-start
-    tuples in lexicographic order; the one enumerator the library has.
+def _iter_runs(n):
+    """(prefix, area, bounce, last) once per run of paths of semilength n,
+    runs in lexicographic order; the one enumerator the library has.
+
+    A run is the paths that share ``prefix``, the row starts of rows
+    1..n-1.  Its path v starts the last row at v, for v in
+    prefix[-1]..n-1, and has area ``area - v`` and bounce
+    ``bounce + (v > last)``: row n opens the point n - 1, worth 1, when v
+    exceeds ``last``, the last bounce point below it.  The readers run
+    through v themselves, one addition per path.  For n < 2 the one path
+    has no row before the last, so there is no run, and each reader yields
+    that path itself.
 
     Rows 1..n-1 advance by successor: raise the last of them that is below
     its bound r - 1 by one, to v, and set every row above it to v.  For each
@@ -364,13 +413,11 @@ def _iter_row_starts(n):
     equal-run invariant: rows that start alike open at most one point, at
     the first of them, since x_r <= r - 1.  So a successor that raises
     row r updates the carried values of rows r..n-1 by scalars, O(n - r)
-    work and no sweep; the last row runs through its range inside, one
-    addition per path.
+    work and no sweep.
     """
     if n < 0:
         raise ValueError("semilength must be nonnegative")
     if n < 2:
-        yield (0,) * n, 0, 0
         return
     top = (n * (n - 1)) // 2
     m = n - 1
@@ -380,13 +427,7 @@ def _iter_row_starts(n):
     bounces = [0] * n
     lasts = [0] * n
     while True:
-        prefix = tuple(x)
-        area = top - sums[m]
-        bounce = bounces[m]
-        last = lasts[m]
-        for v in range(x[-1], m + 1):
-            # row n opens the point n - 1, worth 1, when v > last
-            yield prefix + (v,), area - v, bounce + (v > last)
+        yield tuple(x), top - sums[m], bounces[m], lasts[m]
         j = m - 1
         while j > 0 and x[j] == j:
             j -= 1
@@ -414,8 +455,11 @@ def iter_area_bounce(n: int) -> Iterator[tuple]:
     oracle's `word-round-trip` check compares it with the `DyckPath`
     methods path by path.
     """
-    for _, area, bounce in _iter_row_starts(n):
-        yield area, bounce
+    for prefix, area, bounce, last in _iter_runs(n):
+        for v in range(prefix[-1], n):
+            yield area - v, bounce + (v > last)
+    if n < 2:
+        yield 0, 0
 
 
 def catalan(n: int) -> int:
