@@ -6,8 +6,8 @@ from dyckab.paths import DyckPath
 
 
 @st.composite
-def dyck_paths(draw, max_n=9):
-    n = draw(st.integers(min_value=1, max_value=max_n))
+def dyck_paths(draw, max_n=9, min_n=1):
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
     x = []
     prev = 0
     for r in range(1, n + 1):

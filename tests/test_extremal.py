@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import pytest
 
@@ -69,6 +70,20 @@ def test_level_sets_refuse_stats_the_methods_disagree_with(monkeypatch):
             level_sets(4)
     finally:
         level_sets.cache_clear()
+
+
+def test_level_table_memory():
+    # one byte per row start: about 0.9 MB at n = 11, where a tuple per
+    # path held 8.2 MB
+    level_sets.cache_clear()
+    tracemalloc.start()
+    try:
+        level_sets(11)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        level_sets.cache_clear()
+    assert held < 2_000_000
 
 
 def test_enumerating_functions_refuse_above_cap():

@@ -2,6 +2,7 @@ import math
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from _strategies import dyck_paths
 
@@ -20,7 +21,7 @@ from dyckab.paths import (
     multiplicity,
     partitions,
 )
-from dyckab.extremal import equivalence_class
+from dyckab.extremal import equivalence_class, level_sets
 
 FIGURE_ONE = "NNNEENENEENNEE"
 
@@ -246,6 +247,48 @@ def test_path_sequence_reads_like_a_tuple_and_refuses_edits():
         seq[0] = paths[1]
     with pytest.raises(TypeError):
         del seq[0]
+
+
+def test_path_sequence_bounds_and_byte_cap():
+    # a blob slice past the end is short, not an error, so bounds are pinned
+    for n in range(5):
+        seq = PathSequence(p.row_starts for p in enumerate_paths(n))
+        for bad in (len(seq), -len(seq) - 1):
+            with pytest.raises(IndexError):
+                seq[bad]
+    empty = PathSequence([])
+    assert len(empty) == 0 and list(empty) == [] and empty.row_starts == ()
+    assert list(level_sets(0)) == list(level_sets(1)) == [(0, 0)]
+    assert level_sets(0)[0, 0].row_starts == ((),)
+    assert level_sets(1)[0, 0].row_starts == ((0,),)
+    # row starts are bytes: semilength 256 fits, 257 does not
+    assert PathSequence([range(256)])[0].n == 256
+    with pytest.raises(ValueError, match="0..255"):
+        PathSequence([range(257)])
+    with pytest.raises(ValueError, match="different semilengths"):
+        PathSequence([(0,), (0, 0)])
+
+
+same_n_paths = st.integers(min_value=0, max_value=7).flatmap(
+    lambda n: st.lists(dyck_paths(min_n=n, max_n=n), max_size=12)
+)
+
+
+@given(same_n_paths, st.slices(12))
+def test_path_sequence_agrees_with_tuple(paths, part):
+    want = tuple(paths)
+    seq = PathSequence(p.row_starts for p in paths)
+    assert len(seq) == len(want) and list(seq) == list(want)
+    for i in range(-len(want), len(want)):
+        assert seq[i] == want[i]
+    assert isinstance(seq[part], PathSequence)
+    assert list(seq[part]) == list(want[part])
+    assert list(reversed(seq)) == list(reversed(want))
+    for p in want:
+        assert p in seq
+        assert seq.index(p) == want.index(p) and seq.count(p) == want.count(p)
+    assert DyckPath.from_composition(9, (9,)) not in seq
+    assert seq.row_starts == tuple(p.row_starts for p in want)
 
 
 def test_enumerators_reject_negative_semilength():
