@@ -290,9 +290,9 @@ def check_flip_round_trip(sizes):
         area_side, bounce_side = bijection.flip_sets(n)
         if len(area_side) != len(bounce_side):
             return {"n": n, "reason": "side sizes differ"}
-        for p in area_side:
+        for p, cert in area_side.items():
             q = bijection.phi(p)
-            if q not in bounce_side or bijection.phi_inverse(q) != p:
+            if bounce_side.get(q) != cert or bijection.phi_inverse(q) != p:
                 return {"n": n, "path": p.to_record()}
             if q.area() != p.bounce() or q.bounce() != p.area():
                 return {"n": n, "path": p.to_record(), "reason": "stats not flipped"}
@@ -379,6 +379,8 @@ def check_extended_round_trip(sizes):
             tau = bijection.gamma(sigma)
             if right.get(tau) != cert or bijection.gamma_inverse(tau) != sigma:
                 return {"n": n, "path": sigma.to_record()}
+            if tau.area() != sigma.bounce() or tau.bounce() != sigma.area():
+                return {"n": n, "path": sigma.to_record(), "reason": "stats not flipped"}
 
 
 # ---------------------------------------------------------------- minimal
@@ -476,7 +478,9 @@ def check_construct(sizes):
                 built = extremal.construct_path(n, a, b)
                 if ((a, b) in realized) != (built is not None):
                     return {"n": n, "a": a, "b": b}
-                if built is not None and (built.area(), built.bounce()) != (a, b):
+                if built is None:
+                    continue
+                if (built.n, built.area(), built.bounce()) != (n, a, b):
                     return {"n": n, "a": a, "b": b, "path": built.to_record()}
 
 

@@ -8,7 +8,6 @@ from dyckab.paths import (
     DyckPath,
     conjugate,
     distinct_parts,
-    enumerate_paths,
     partitions,
 )
 from dyckab.ops import BOTTOM, add_area_cell, bounce_boost
@@ -35,6 +34,7 @@ from dyckab.bijection import (
     row_index_set,
     row_map,
 )
+from _checks import declared_range_test
 from _strategies import dyck_paths
 
 WORKED_PARTITION = (6, 3, 1, 1)  # conjugate (4, 2, 2, 1, 1, 1), size 11
@@ -268,17 +268,6 @@ def test_flip_maps_block_path_to_conjugate():
             assert phi_inverse(blocks(conjugate(lam))) == blocks(lam)
 
 
-def test_flip_round_trip_exhaustive():
-    for n in range(1, 8):
-        area_side, bounce_side = flip_sets(n)
-        assert len(area_side) == len(bounce_side)
-        for p, cert in area_side.items():
-            q = phi(p)
-            assert bounce_side[q] == cert
-            assert (q.area(), q.bounce()) == (p.bounce(), p.area())
-            assert phi_inverse(q) == p
-
-
 def test_flip_set_results_do_not_share_state():
     # the certificate stream is cached per n; callers get fresh dicts
     for build, n in ((flip_sets, 8), (extended_flip_sets, 7)):
@@ -346,15 +335,6 @@ def test_classify_block_paths_are_both_sides():
         assert cls.bounce_certificate == Certificate.make(conjugate(lam), {})
 
 
-def test_classify_matches_membership_exhaustive():
-    for n in range(1, 8):
-        area_side, bounce_side = flip_sets(n)
-        for p in enumerate_paths(n):
-            cls = classify(p)
-            assert (cls.area_certificate is not None) == (p in area_side)
-            assert (cls.bounce_certificate is not None) == (p in bounce_side)
-
-
 def test_certificate_serialization():
     cert = Certificate.make((4, 1, 1), {(1, 1): 2})
     assert cert.to_json_dict() == {"lambda": [4, 1, 1], "f": [[1, 1, 2]]}
@@ -392,17 +372,6 @@ def test_extension_restricts_to_flip():
             if not cert.g_counts:
                 sigma, tau = build_extended_pair(cert)
                 assert gamma(sigma) == phi(sigma) == tau
-
-
-def test_extended_round_trip_exhaustive():
-    for n in range(1, 8):
-        left, right = extended_flip_sets(n)
-        assert len(left) == len(right)
-        for sigma, cert in left.items():
-            tau = gamma(sigma)
-            assert right[tau] == cert
-            assert (tau.area(), tau.bounce()) == (sigma.bounce(), sigma.area())
-            assert gamma_inverse(tau) == sigma
 
 
 def test_gamma_domain_violation_raises():
@@ -450,3 +419,10 @@ def test_extended_pair_valid_rejects_invalid_inputs():
     assert not extended_pair_valid((4, 1, 1), {(1, 1): 2}, {(1, 1): 9})
     assert not extended_pair_valid((4, 1, 1), {(1, 1): 2}, {(1, 1): -1})
     assert not extended_pair_valid(WORKED_PARTITION, WORKED_MAP, {})  # image not minimal
+
+
+# -- exhaustive claims, checked once by the oracle -------------------------------------
+
+test_flip_round_trip_exhaustive = declared_range_test("flip-round-trip")
+test_classify_matches_membership_exhaustive = declared_range_test("classify-consistency")
+test_extended_round_trip_exhaustive = declared_range_test("extended-round-trip")

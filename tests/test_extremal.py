@@ -15,50 +15,26 @@ from dyckab.extremal import (
     ab_level_map,
     area_minimal,
     bounce_minimal,
-    bounce_interval_conjecture,
     construct_path,
     equivalence_class,
-    interpolation_report,
     is_area_minimal,
     is_bounce_minimal,
     level_sets,
     max_ab,
     min_ab,
-    nonemptiness_symmetry,
     phi_on_minimal,
     satisfies_area_minimal_conditions,
     satisfies_bounce_minimal_conditions,
     top_levels,
 )
+from _checks import declared_range_test
 
 
 def blocks(alpha):
     return DyckPath.from_composition(sum(alpha), alpha)
 
 
-def brute_minimal_sets(n):
-    lv = level_sets(n)
-    best_b, best_a = {}, {}
-    for (a, b) in lv:
-        s = a + b
-        best_b[s] = min(b, best_b.get(s, b))
-        best_a[s] = min(a, best_a.get(s, a))
-    bset = {p for (a, b), ps in lv.items() if b == best_b[a + b] for p in ps}
-    aset = {p for (a, b), ps in lv.items() if a == best_a[a + b] for p in ps}
-    return bset, aset
-
-
 # -- level sets ----------------------------------------------------------------
-
-
-def test_level_sets_match_grouping_by_methods():
-    for n in range(11):
-        grouped = {}
-        for p in enumerate_paths(n):
-            grouped.setdefault((p.area(), p.bounce()), []).append(p)
-        # same keys in the same order, each list in word order
-        have = [(key, list(members)) for key, members in level_sets(n).items()]
-        assert have == list(grouped.items())
 
 
 def test_level_sets_refuse_stats_the_methods_disagree_with(monkeypatch):
@@ -120,6 +96,8 @@ def test_path_sequences_match_grouping_by_methods():
         for p in enumerate_paths(n):
             levels.setdefault((p.area(), p.bounce()), []).append(p)
             classes.setdefault((p.area(), p.bounce_composition()), []).append(p)
+        # levels in first-seen key order, every member list in word order
+        assert list(level_sets(n)) == list(levels)
         outside = DyckPath.from_composition(n + 1, (n + 1,))
         for table, want in ((level_sets(n), levels), (_class_index(n), classes)):
             assert set(table) == set(want)
@@ -163,25 +141,13 @@ def test_level_sets_extremes():
         assert list(lv[(0, math.comb(n, 2))]) == [blocks((1,) * n)]
 
 
-def test_levels_in_seven():
-    lv = level_sets(7)
-    assert len(lv[(2, 13)]) == 2
-    assert len(lv[(13, 2)]) == 2
-
-
 # -- minimal sets ---------------------------------------------------------------
 
 
-def test_minimal_sets_match_brute_force():
-    for n in range(1, 8):
-        bset, aset = brute_minimal_sets(n)
-        assert set(bounce_minimal(n)) == bset
-        assert set(area_minimal(n)) == aset
-
-
 def test_minimal_membership_predicates():
+    # the sets themselves are checked against brute force by minimal-sets
     for n in range(1, 7):
-        bset, aset = brute_minimal_sets(n)
+        bset, aset = set(bounce_minimal(n)), set(area_minimal(n))
         for p in enumerate_paths(n):
             assert is_bounce_minimal(p) == (p in bset)
             assert is_area_minimal(p) == (p in aset)
@@ -195,16 +161,6 @@ def test_full_path_is_bounce_minimal():
 def test_staircase_is_area_minimal():
     for n in (2, 5, 7):
         assert is_area_minimal(blocks((1,) * n))
-
-
-def test_bounce_minimal_characterization_exact():
-    for n in range(1, 8):
-        characterized = {
-            p
-            for p in enumerate_paths(n)
-            if satisfies_bounce_minimal_conditions(p)
-        }
-        assert characterized == set(bounce_minimal(n))
 
 
 def test_area_minimal_conditions_necessary_not_sufficient():
@@ -226,13 +182,6 @@ def test_bounce_minimal_conditions_necessary_not_sufficient():
     lower = DyckPath.from_word("NNNNNNEEEEEENNNNNEEEEENNEE")
     assert lower.bounce_composition() == (6, 5, 2)
     assert (lower.area(), lower.bounce()) == (26, 9)
-
-
-def test_minimal_seven_figures():
-    bmin = bounce_minimal(7)
-    amin = area_minimal(7)
-    assert len(bmin) == len(amin) == 12
-    assert len({p.ab() for p in bmin}) == 11
 
 
 # -- flip on minimal sets ----------------------------------------------------------
@@ -293,37 +242,7 @@ def test_witnesses_refuse_mutation():
         _witnesses.cache_clear()
 
 
-def test_construct_matches_realizability():
-    for n in range(1, 8):
-        realized = set(level_sets(n))
-        top = math.comb(n, 2)
-        for a in range(top + 1):
-            for b in range(top + 1 - a):
-                built = construct_path(n, a, b)
-                assert ((a, b) in realized) == (built is not None)
-                if built is not None:
-                    assert (built.area(), built.bounce()) == (a, b)
-
-
 # -- symmetry and interval reports ------------------------------------------------------
-
-
-def test_nonemptiness_symmetry():
-    for n in range(1, 9):
-        report = nonemptiness_symmetry(n)
-        assert report["symmetric"], report
-
-
-def test_interpolation_report():
-    for n in range(1, 9):
-        report = interpolation_report(n)
-        assert report["holds"], report
-
-
-def test_bounce_interval_conjecture_small():
-    # empirical check of an open conjecture, not a theorem
-    for n in range(1, 9):
-        assert bounce_interval_conjecture(n)["holds"]
 
 
 def test_top_levels_n4():
@@ -333,23 +252,6 @@ def test_top_levels_n4():
     assert report["top_full_split"] and report["top_singletons"]
     assert report["second_singletons"]
     assert report["min_ab"] == 4  # 6 - width(4) with width(4) = 2
-
-
-def test_top_levels_range():
-    for n in range(3, 9):
-        report = top_levels(n)
-        assert report["top_count"] == report["top_expected"] == math.comb(n, 2) + 1
-        assert report["top_full_split"] and report["top_singletons"]
-        assert report["second_singletons"]
-        assert report["observed_min_ab"] == report["min_ab"]
-
-
-def test_ab_interval_and_ladder():
-    for n in range(1, 9):
-        lo, hi = min_ab(n), max_ab(n)
-        assert sorted(ab_level_map(n)) == list(range(lo, hi + 1))
-        for x in range(lo, hi + 1):
-            assert ab_ladder(n, x).ab() == x
 
 
 def test_ladder_endpoints():
@@ -368,3 +270,17 @@ def test_ladder_rejects_out_of_range():
         ab_ladder(5, min_ab(5) - 1)
     with pytest.raises(ValueError):
         ab_ladder(5, max_ab(5) + 1)
+
+
+# -- exhaustive claims, checked once by the oracle -------------------------------------
+
+test_minimal_sets_match_brute_force = declared_range_test("minimal-sets")
+test_bounce_minimal_characterization_exact = declared_range_test("minimal-sets")
+test_construct_matches_realizability = declared_range_test("construct-exact")
+test_nonemptiness_symmetry = declared_range_test("nonemptiness-symmetry")
+test_interpolation_report = declared_range_test("interpolation")
+test_bounce_interval_conjecture_small = declared_range_test("bounce-interval-conjecture")
+test_top_levels_range = declared_range_test("top-levels")
+test_ab_interval_and_ladder = declared_range_test("ab-interval")
+test_levels_in_seven = declared_range_test("minimal-figure-counts")
+test_minimal_seven_figures = declared_range_test("minimal-figure-counts")

@@ -17,6 +17,7 @@ from dyckab.ops import (
     unshift,
     up,
 )
+from _checks import declared_range_test
 from _strategies import dyck_paths
 
 
@@ -253,22 +254,6 @@ def test_unshift_examples():
     assert unshift(blocks(4, (4,)), 1) is BOTTOM
 
 
-def test_shift_unshift_exhaustive():
-    for n in range(1, 8):
-        for p in enumerate_paths(n):
-            for i in range(1, bounce_index_count(p) + 1):
-                q = shift(p, i)
-                if q is not BOTTOM:
-                    assert q.area() == p.area()
-                    assert q.bounce() == p.bounce() + 1
-                    pts = p.bounce_points()
-                    assert q.bounce_points() == pts[:i] + (pts[i] - 1,) + pts[i + 1 :]
-                    assert unshift(q, i) == p
-                q = unshift(p, i)
-                if q is not BOTTOM:
-                    assert shift(q, i) == p
-
-
 def reference_sweeps(x):
     """(bounce points, column heights) of row starts x, by counting rows:
     column c holds the rows that start left of c, and the bounce path
@@ -401,22 +386,6 @@ def test_down_example():
     assert down(blocks(5, (2, 2, 1)), 1) == blocks(5, (3, 1, 1))
 
 
-def test_up_down_exhaustive():
-    for n in range(1, 8):
-        for p in enumerate_paths(n):
-            for i in range(1, bounce_index_count(p) + 1):
-                q = up(p, i)
-                if q is not BOTTOM:
-                    assert q.area() == p.area() - 1
-                    assert q.bounce() == p.bounce() + 1
-                    assert down(q, i) == p
-                q = down(p, i)
-                if q is not BOTTOM:
-                    assert q.area() == p.area() + 1
-                    assert q.bounce() == p.bounce() - 1
-                    assert up(q, i) == p
-
-
 # -- existence scans -----------------------------------------------------------------
 
 
@@ -436,37 +405,7 @@ def test_scan_up_immediate_case():
     assert up(p, 1) == w("NENNEE")
 
 
-def test_scans_exhaustive():
-    for n in range(1, 8):
-        for p in enumerate_paths(n):
-            pts = p.bounce_points()
-            m = len(pts) - 1
-            a = p.area_sequence()
-            h = p.column_heights()
-            for i in range(1, m):
-                if a[pts[i]] == pts[i] - pts[i - 1] - 1:
-                    j = existence_scan_down(p, i)
-                    assert j is not None and i <= j <= m - 1
-                    assert down(p, j) is not BOTTOM
-                if h[pts[i] - 1] == pts[i + 1]:
-                    j = existence_scan_up(p, i)
-                    assert j is not None and 1 <= j <= i
-                    assert up(p, j) is not BOTTOM
-
-
 # -- bottom handling -----------------------------------------------------------------
-
-
-def test_bottom_absorption():
-    assert add_area_cell(BOTTOM, 1) is BOTTOM
-    assert remove_area_cell(BOTTOM, 1) is BOTTOM
-    assert add_column_cell(BOTTOM, 1) is BOTTOM
-    assert remove_column_cell(BOTTOM, 1) is BOTTOM
-    assert shift(BOTTOM, 1) is BOTTOM
-    assert unshift(BOTTOM, 1) is BOTTOM
-    assert bounce_boost(BOTTOM, 1, 2) is BOTTOM
-    assert up(BOTTOM, 1) is BOTTOM
-    assert down(BOTTOM, 1) is BOTTOM
 
 
 def test_bottom_is_falsy_singleton():
@@ -476,23 +415,11 @@ def test_bottom_is_falsy_singleton():
     assert not is_bottom(w("NE"))
 
 
-# -- randomized properties --------------------------------------------------------------
+# -- exhaustive claims, checked once by the oracle -------------------------------------
 
-
-@given(dyck_paths(max_n=8))
-@settings(max_examples=60)
-def test_shift_preserves_area_random(p):
-    for i in range(1, bounce_index_count(p) + 1):
-        q = shift(p, i)
-        if q is not BOTTOM:
-            assert (q.area(), q.bounce()) == (p.area(), p.bounce() + 1)
-
-
-@given(dyck_paths(max_n=8))
-@settings(max_examples=60)
-def test_up_down_trade_one_unit_random(p):
-    for i in range(1, bounce_index_count(p) + 1):
-        q = up(p, i)
-        if q is not BOTTOM:
-            assert (q.area(), q.bounce()) == (p.area() - 1, p.bounce() + 1)
-            assert down(q, i) == p
+test_shift_unshift_exhaustive = declared_range_test("operator-deltas", "inverse-pairs")
+test_up_down_exhaustive = declared_range_test("operator-deltas", "inverse-pairs")
+test_scans_exhaustive = declared_range_test("existence-scans")
+test_bottom_absorption = declared_range_test("bottom-absorption")
+test_shift_preserves_area_random = declared_range_test("operator-deltas")
+test_up_down_trade_one_unit_random = declared_range_test("operator-deltas", "inverse-pairs")

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from dyckab import extremal, oracle, qbell
+from _checks import DECLARED, assert_check_holds
+from dyckab import bijection, extremal, oracle, paths, qbell
 from dyckab.oracle import SUITES, CheckReport, format_table, run_suite
 
 
@@ -143,6 +144,11 @@ def test_declared_ranges():
     }
 
 
+@pytest.mark.parametrize("name", list(DECLARED))
+def test_check_holds_on_declared_range(name):
+    assert_check_holds(name)
+
+
 def test_minimal_sets_check_catches_a_dropped_member(monkeypatch):
     area_minimal = extremal.area_minimal
     monkeypatch.setattr(extremal, "area_minimal", lambda n: area_minimal(n)[1:])
@@ -159,3 +165,42 @@ def test_qbell_support_check_catches_a_dropped_coefficient(monkeypatch):
     monkeypatch.setattr(qbell, "ab_interval_width", lambda n: width(n) - 1)
     detail = oracle.check_qbell_support(range(21))
     assert detail == {"n": 0, "distinct_totals": 1, "nonzero_coeffs": 0}
+
+
+def test_flip_round_trip_check_catches_swapped_certificates(monkeypatch):
+    flip_sets = bijection.flip_sets
+
+    def swapped(n):
+        area_side, bounce_side = flip_sets(n)
+        first, second = list(bounce_side)[:2]
+        bounce_side[first], bounce_side[second] = bounce_side[second], bounce_side[first]
+        return area_side, bounce_side
+
+    monkeypatch.setattr(bijection, "flip_sets", swapped)
+    assert oracle.check_flip_round_trip(range(2, 11))["n"] == 2
+
+
+def test_construct_check_catches_a_path_of_the_wrong_semilength(monkeypatch):
+    # the empty path has the stats (0, 0) asked of n = 1, but n = 0
+    construct_path = extremal.construct_path
+    empty = paths.DyckPath.from_word("")
+    monkeypatch.setattr(
+        extremal,
+        "construct_path",
+        lambda n, a, b: empty if n == 1 else construct_path(n, a, b),
+    )
+    detail = oracle.check_construct(range(1, 10))
+    assert detail == {"n": 1, "a": 0, "b": 0, "path": empty.to_record()}
+
+
+def test_extended_round_trip_check_catches_unflipped_stats(monkeypatch):
+    # the identity, on the left side paired with itself, returns every
+    # certificate and inverts itself, but keeps the statistics
+    extended_flip_sets = bijection.extended_flip_sets
+    monkeypatch.setattr(
+        bijection, "extended_flip_sets", lambda n: (extended_flip_sets(n)[0],) * 2
+    )
+    monkeypatch.setattr(bijection, "gamma", lambda p: p)
+    monkeypatch.setattr(bijection, "gamma_inverse", lambda p: p)
+    detail = oracle.check_extended_round_trip(range(1, 10))
+    assert (detail["n"], detail["reason"]) == (2, "stats not flipped")

