@@ -90,20 +90,30 @@ def assert_sequence_matches(seq, want):
     assert seq.row_starts == tuple(p.row_starts for p in want)
 
 
+def test_level_sets_match_grouping_by_methods():
+    for n in range(11):
+        grouped = {}
+        for p in enumerate_paths(n):
+            grouped.setdefault((p.area(), p.bounce()), []).append(p)
+        # levels in first-seen key order, every member list in word order
+        assert list(level_sets(n)) == list(grouped)
+        outside = DyckPath.from_composition(n + 1, (n + 1,))
+        for key, members in level_sets(n).items():
+            assert_sequence_matches(members, grouped[key])
+            assert outside not in members
+
+
 def test_path_sequences_match_grouping_by_methods():
     for n in range(11):
-        levels, classes = {}, {}
+        classes = {}
         for p in enumerate_paths(n):
-            levels.setdefault((p.area(), p.bounce()), []).append(p)
             classes.setdefault((p.area(), p.bounce_composition()), []).append(p)
-        # levels in first-seen key order, every member list in word order
-        assert list(level_sets(n)) == list(levels)
+        table = _class_index(n)
+        assert set(table) == set(classes)
         outside = DyckPath.from_composition(n + 1, (n + 1,))
-        for table, want in ((level_sets(n), levels), (_class_index(n), classes)):
-            assert set(table) == set(want)
-            for key, members in table.items():
-                assert_sequence_matches(members, want[key])
-                assert outside not in members
+        for key, members in table.items():
+            assert_sequence_matches(members, classes[key])
+            assert outside not in members
 
 
 def test_cached_tables_refuse_mutation():
