@@ -8,13 +8,15 @@ path classes realizes every intermediate split of s, which settles which
 (area, bounce) pairs are populated.
 
 Everything here reads one exhaustive table, `level_sets`, capped at
-ENUMERATION_CAP.  The minimal sets are its level ends: the first key of a
-level (by area) is area-minimal, the last bounce-minimal.  The shape
-conditions the theory attaches to them are kept as separate predicates and
-compared in the verification suite.  Both are necessary but not
-sufficient: the area-side one admits a non-minimal path at n = 6, the
-bounce-side one from n = 13 on.  Classes (shared area and bounce path) come
-from one index over the levels, `_class_index`.
+ENUMERATION_CAP.  It is filled from runs of paths that share all but
+their last TAIL_ROWS rows, each run one bytes join per group of tails
+that land on one level.  The minimal sets are its level ends: the first
+key of a level (by area) is area-minimal, the last bounce-minimal.  The
+shape conditions the theory attaches to them are kept as separate
+predicates and compared in the verification suite.  Both are necessary
+but not sufficient: the area-side one admits a non-minimal path at
+n = 6, the bounce-side one from n = 13 on.  Classes (shared area and
+bounce path) come from one index over the levels, `_class_index`.
 
 The cached tables are read-only: `level_sets`, `ab_level_map`,
 `_class_index` and the walk witnesses `_witnesses` return mapping
@@ -39,6 +41,7 @@ from .paths import (
     _iter_runs,
     _packed,
     _sweep_bounce_points,
+    _tail_groups,
 )
 from .ops import BOTTOM, add_column_cell, down, up
 from .bijection import phi, phi_inverse
@@ -46,19 +49,31 @@ from .qbell import ab_interval_width, minimizing_composition
 
 # Largest n `level_sets`, and so everything that reads it, accepts.  The
 # table keeps the row starts of every path, one byte each: n = 12 (208,012
-# paths) takes about 0.27 s and a peak of 21 MB for the whole process
-# (median of 3 fresh processes, 2-core Xeon, Python 3.11); each further n
-# costs about 3.5 times more.
+# paths) takes about 0.09 s of CPU in process, and 0.28 s with a peak of
+# 19 MB for a whole fresh process with its start-up (medians of 3 to 5
+# fresh processes, 2-core Xeon, Python 3.11).  Each further n holds about
+# 3.5 times as many paths (Catalan numbers), and n = 11 to 12 took 3.5 to
+# 4 times the CPU.
 ENUMERATION_CAP = 12
+
+# Rows of each path that `level_sets` appends from a memoized tail table
+# rather than steps through the enumerator.  At n = 12 (CPU, median of 5
+# fresh processes) three rows took 0.068 s, four 0.064, five 0.097 and six
+# 0.175: more rows mean fewer runs but many more tails to list and join.
+TAIL_ROWS = 4
 
 
 @lru_cache(maxsize=None)
 def level_sets(n: int) -> MappingProxyType:
     """Read-only (area, bounce) -> `PathSequence` of the paths at that
     pair, in word order, for n <= ENUMERATION_CAP.  Each level is one
-    bytes blob of row starts, filled a run at a time from the enumerator
-    (`paths._iter_runs`) with no tuple per path; members are built as
-    they are read.
+    bytes blob of row starts; members are built as they are read.  The
+    blobs are filled from runs of the enumerator (`paths._iter_runs`), the
+    paths that share all but their last TAIL_ROWS rows.  The tails of a
+    run depend only on where its last prefix row starts and on its last
+    bounce point, so `paths._tail_groups` lists them once per such pair
+    for the call, grouped by (area drop, bounce gain); each group is one
+    ``head.join`` onto its level, with no tuple per path.
 
     The keys are the enumerator's carried stats, while the rest of this
     module reads the `DyckPath` methods; the first path of each level is
@@ -69,16 +84,28 @@ def level_sets(n: int) -> MappingProxyType:
             "level table enumerates (ENUMERATION_CAP)"
         )
     blobs = defaultdict(bytearray)
-    for prefix, area, bounce, last in _iter_runs(n):
+    rows = min(TAIL_ROWS, n - 1)
+    tails = {}  # (prefix[-1], last) -> the _tail_groups of such a prefix
+    # one bytes object per tail across all lasts: 15,414 tails are 1,261
+    # distinct at n = 12, and sharing them cuts what the memo holds by a third
+    shared = {}
+    for prefix, area, bounce, last in _iter_runs(n, rows):
+        groups = tails.get((prefix[-1], last))
+        if groups is None:
+            groups = tails[prefix[-1], last] = _tail_groups(n, n - rows, prefix[-1], last)
+            for _, _, parts in groups:
+                parts[:] = [shared.setdefault(t, t) for t in parts]
         head = bytes(prefix)
-        for v in range(prefix[-1], n):
-            blob = blobs[area - v, bounce + (v > last)]
-            blob += head
-            blob.append(v)
+        for drop, gain, parts in groups:
+            blobs[area - drop, bounce + gain] += head.join(parts)
     if n < 2:
         out = {(0, 0): PathSequence([(0,) * n])}
     else:
-        out = {key: _packed(bytes(blob), n, len(blob) // n) for key, blob in blobs.items()}
+        # one level's bytes at a time, so the table is never held twice
+        out = {}
+        for key in list(blobs):
+            blob = blobs.pop(key)
+            out[key] = _packed(bytes(blob), n, len(blob) // n)
     for key, members in out.items():
         first = members[0]
         if (first.area(), first.bounce()) != key:
@@ -101,15 +128,17 @@ def _class_index(n: int) -> MappingProxyType:
     """Read-only (area, bounce composition) -> `PathSequence` of the class
     members in word order, split out of the levels (a class lies inside
     one level).  Members are grouped by their bounce points, each swept
-    once from the row starts without the sweep memo, since each is read
-    once."""
+    once from the member's slice of the level's blob without the sweep
+    memo, since each is read once; each class is the join of its slices."""
     out = {}
     for (area, _), members in level_sets(n).items():
+        blob = members._blob
         by_points = defaultdict(list)
-        for x in members.row_starts:
+        for k in range(len(members)):
+            x = blob[k * n : (k + 1) * n]
             by_points[_sweep_bounce_points(x)].append(x)
         for pts, rows in by_points.items():
-            out[(area, _composition(pts))] = PathSequence(rows)
+            out[(area, _composition(pts))] = _packed(b"".join(rows), n, len(rows))
     return MappingProxyType(out)
 
 

@@ -12,17 +12,21 @@ lexicographic order on words with N < E, which is the documented
 enumeration order.
 
 One enumerator, `_iter_runs`, walks that order one run at a time: the
-paths that share rows 1..n-1 and differ only in where the last row
-starts.  It carries each prefix's area and bounce (see its docstring for
-the equal-run invariant that makes this a scalar update), and its readers
-run through the last row themselves.  `enumerate_with_stats` yields each
-path object with its area and bounce, and `enumerate_paths` reads it;
-`iter_area_bounce` reads the stats alone, and the level table of
-`extremal.level_sets` packs the row starts into bytes, both without a
-path object or a row-start tuple per path.  `PathSequence` is how such a
-table hands its members out: a read-only sequence over one bytes blob of
-row starts, n bytes per path, that builds each path as it is read, so a
-table of 208,012 paths holds 2.5 MB of bytes, not one object per path.
+paths that share their first n - rows rows and differ only in the rest.
+It carries each prefix's area and bounce (see its docstring for the
+equal-run invariant that makes this a scalar update), and its readers
+run through the remaining rows themselves.  `enumerate_with_stats`
+yields each path object with its area and bounce, and `enumerate_paths`
+reads it; `iter_area_bounce` reads the stats alone.  Both take runs of
+one row, so their first path comes at once at any n.  The level table of
+`extremal.level_sets` takes runs of four rows and appends each run from
+`_tail_groups`, the tails of those rows grouped by what they take from
+the area and add to the bounce, one bytes join per group.
+`iter_area_bounce` and the level table build neither a path object nor
+a row-start tuple per path.  `PathSequence` is how such a table hands
+its members out: a read-only sequence over one bytes blob of row starts,
+n bytes per path, that builds each path as it is read, so a table of
+208,012 paths holds 2.5 MB of bytes, not one object per path.
 A blob holds row starts up to 255, so a `PathSequence` holds paths of
 semilength at most 256; the level tables stop at 12.
 One unchecked builder, `_blocks`, gives the block path of a composition
@@ -391,41 +395,44 @@ def enumerate_with_stats(n: int) -> Iterator[tuple]:
         yield _path((0,) * n), 0, 0
 
 
-def _iter_runs(n):
+def _iter_runs(n, rows=1):
     """(prefix, area, bounce, last) once per run of paths of semilength n,
     runs in lexicographic order; the one enumerator the library has.
 
     A run is the paths that share ``prefix``, the row starts of rows
-    1..n-1.  Its path v starts the last row at v, for v in
-    prefix[-1]..n-1, and has area ``area - v`` and bounce
-    ``bounce + (v > last)``: row n opens the point n - 1, worth 1, when v
-    exceeds ``last``, the last bounce point below it.  The readers run
-    through v themselves, one addition per path.  For n < 2 the one path
-    has no row before the last, so there is no run, and each reader yields
-    that path itself.
+    1..n-rows, for 1 <= rows < n.  ``area`` is C(n, 2) less the prefix's
+    row starts, so a path of the run has ``area`` less the row starts of
+    its tail; ``bounce`` is what the prefix rows add to the bounce, and
+    ``last`` the last bounce point they open.  With rows = 1 the path v of a run starts the
+    last row at v, for v in prefix[-1]..n-1, and has area ``area - v`` and
+    bounce ``bounce + (v > last)``: row n opens the point n - 1, worth 1,
+    when v exceeds ``last``.  The readers run through the tails
+    themselves, as `_tail_groups` does for more rows.  For n < 2 the one
+    path has no row before the last, so there is no run, and each reader
+    yields that path itself.
 
-    Rows 1..n-1 advance by successor: raise the last of them that is below
-    its bound r - 1 by one, to v, and set every row above it to v.  For each
-    row prefix the enumerator keeps the row-start sum, the bounce so far
-    and the last bounce point.  Row r opens the bounce point r - 1, worth
-    n - r + 1 to the bounce, exactly when x_r exceeds the last point below
-    it (b_{i+1} is the number of rows that start at or left of b_i).  The
-    equal-run invariant: rows that start alike open at most one point, at
-    the first of them, since x_r <= r - 1.  So a successor that raises
-    row r updates the carried values of rows r..n-1 by scalars, O(n - r)
-    work and no sweep.
+    The prefix rows advance by successor: raise the last of them that is
+    below its bound r - 1 by one, to v, and set every row above it to v.
+    For each row prefix the enumerator keeps the row-start sum, the bounce
+    so far and the last bounce point.  Row r opens the bounce point r - 1,
+    worth n - r + 1 to the bounce, exactly when x_r exceeds the last point
+    below it (b_{i+1} is the number of rows that start at or left of b_i).
+    The equal-run invariant: rows that start alike open at most one point,
+    at the first of them, since x_r <= r - 1.  So a successor that raises
+    row r updates the carried values of rows r..n-rows by scalars,
+    O(n - rows - r) work and no sweep.
     """
     if n < 0:
         raise ValueError("semilength must be nonnegative")
     if n < 2:
         return
     top = (n * (n - 1)) // 2
-    m = n - 1
+    m = n - rows
     x = [0] * m
     # sums[i], bounces[i], lasts[i]: the carried values of rows 1..i
-    sums = [0] * n
-    bounces = [0] * n
-    lasts = [0] * n
+    sums = [0] * (m + 1)
+    bounces = [0] * (m + 1)
+    lasts = [0] * (m + 1)
     while True:
         yield tuple(x), top - sums[m], bounces[m], lasts[m]
         j = m - 1
@@ -445,6 +452,39 @@ def _iter_runs(n):
         sums[j + 1 :] = range(s + v, s + v * k + 1, v)
         bounces[j + 1 :] = [bounce] * k
         lasts[j + 1 :] = [last] * k
+
+
+def _tail_groups(n, m, p, last) -> list:
+    """The tails (row starts of rows m+1..n) that may follow a prefix of
+    m rows whose row m starts at ``p`` and whose last bounce point is
+    ``last``, grouped as (drop, gain, [b"", tail, tail, ...]).
+
+    A path made of the prefix and a tail has the prefix's area less
+    ``drop``, the tail's row-start sum, and its bounce plus ``gain``, the
+    worth of the points the tail's rows open.  Each tail is bytes, and the
+    leading b"" makes ``head.join(parts)`` the paths of prefix ``head``
+    concatenated.  Groups follow the order of their first tail, and the
+    tails inside a group stay in word order, so appending groups prefix by
+    prefix keeps every level in word order and its keys in first-seen
+    order.
+    """
+    # (row starts from row m on, drop, gain, last point), in word order:
+    # each row extends every partial tail in order
+    tails = [((p,), 0, 0, last)]
+    for r in range(m + 1, n + 1):
+        point = r - 1  # the bounce point row r opens, worth n - point
+        grown = []
+        for t, drop, gain, lst in tails:
+            for v in range(t[-1], r):
+                if v > lst:
+                    grown.append((t + (v,), drop + v, gain + n - point, point))
+                else:
+                    grown.append((t + (v,), drop + v, gain, lst))
+        tails = grown
+    groups = {}
+    for t, drop, gain, _ in tails:
+        groups.setdefault((drop, gain), [b""]).append(bytes(t[1:]))
+    return [(drop, gain, parts) for (drop, gain), parts in groups.items()]
 
 
 def iter_area_bounce(n: int) -> Iterator[tuple]:

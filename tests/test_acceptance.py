@@ -2,13 +2,18 @@
 
 Every comparison is exact integer equality; the stated wall-clock budgets
 are asserted where the criterion carries one.  Each test prints a single
-PASS line (visible with pytest -s) once its criterion holds.
+PASS line (visible with pytest -s) once its criterion holds.  The oracle
+checks a criterion names run through `_checks.assert_check_holds`, at
+their declared ranges in `oracle.SUITES`, once per pytest run: a check
+that another test already ran is not timed again.
 """
 
 import time
 
 from dyckab.paths import DyckPath, compositions, count_paths_with_bounce_path
-from dyckab import bijection, extremal, oracle
+from dyckab import bijection, extremal
+
+from _checks import assert_check_holds
 
 FIGURE_ONE = "NNNEENENEENNEE"
 
@@ -39,7 +44,7 @@ def test_criterion_2_joint_symmetry_through_eleven():
     start = time.perf_counter()
     # enumerated (area, bounce) table for 0 <= n <= 11: symmetric, Catalan
     # total, equal to the bounce-formula table
-    assert oracle.check_f_symmetry(range(12)) is None
+    assert_check_holds("f-symmetry")
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
     _report(2, f"joint distribution symmetric for n<=11 in {elapsed:.2f} s")
@@ -51,7 +56,7 @@ def test_criterion_3_product_formula_through_ten():
     for n in range(1, 11):
         assert len(list(compositions(n))) == 2 ** (n - 1)
     # enumerated bounce-path counts equal the formula on every composition
-    assert oracle.check_product_formula(range(1, 11)) is None
+    assert_check_holds("product-formula")
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
     _report(3, f"product formula exact over all compositions in {elapsed:.2f} s")
@@ -61,7 +66,7 @@ def test_criterion_4_flip_bijection():
     start = time.perf_counter()
     # (i) the certified pairs trade the two statistics and (ii) both round
     # trips are identities, on equal-sized sides
-    assert oracle.check_flip_round_trip(range(1, 11)) is None
+    assert_check_holds("flip-round-trip")
     # (iii) classification returns the generating certificates; inline,
     # since the oracle's classify-consistency stops at n = 9
     for n in range(1, 11):
@@ -71,7 +76,7 @@ def test_criterion_4_flip_bijection():
             assert bijection.classify(p).area_certificate == cert
             assert bijection.classify(q).bounce_certificate == bounce_side[q]
     # (iv) exponential size bounds 2 Fib(n+1) <= |union| <= 2^n, 5 <= n <= 12
-    assert oracle.check_count_bounds(range(5, 13)) is None
+    assert_check_holds("count-bounds")
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
     _report(4, f"flip bijection certified for n<=10, bounds to n=12, {elapsed:.2f} s")
@@ -81,15 +86,15 @@ def test_criterion_5_minimal_bijection():
     # both minimal sets equal the brute-force minima of their levels, the
     # flip maps the bounce-minimal set onto the area-minimal one, and the
     # paper's counts at n = 7 hold
-    assert oracle.check_minimal_sets(range(1, 10)) is None
-    assert oracle.check_flip_minimal(range(1, 10)) is None
-    assert oracle.check_minimal_figures(range(7, 8)) is None
+    assert_check_holds("minimal-sets")
+    assert_check_holds("flip-minimal-bijection")
+    assert_check_holds("minimal-figure-counts")
     _report(5, "flip maps bounce-minimal onto area-minimal for n<=9")
 
 
 def test_criterion_6_nonemptiness_and_construction():
-    assert oracle.check_symmetry(range(1, 11)) is None
-    assert oracle.check_construct(range(1, 10)) is None
+    assert_check_holds("nonemptiness-symmetry")
+    assert_check_holds("construct-exact")
     _report(6, "level symmetry n<=10; construction exact on n<=9")
 
 
@@ -97,9 +102,9 @@ def test_criterion_7_distinct_totals():
     start = time.perf_counter()
     # the published counts; q_bell's coefficients and the totals of the
     # qt-Catalan table for n <= 20; enumerated totals for n <= 12
-    assert oracle.check_distinct_ab_reference(None) is None
-    assert oracle.check_qbell_support(range(21)) is None
-    assert oracle.check_distinct_ab_brute(range(13)) is None
+    assert_check_holds("distinct-ab-reference")
+    assert_check_holds("qbell-support")
+    assert_check_holds("distinct-ab-brute")
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
     _report(7, f"distinct-total counts match on every route in {elapsed:.2f} s")
@@ -107,13 +112,8 @@ def test_criterion_7_distinct_totals():
 
 def test_criterion_8_operator_algebra():
     start = time.perf_counter()
-    assert oracle.check_bottom_absorption(None) is None
-    for check in (
-        oracle.check_operator_deltas,
-        oracle.check_inverse_pairs,
-        oracle.check_shape_lemmas,
-    ):
-        assert check(range(1, 9)) is None, check.__name__
+    for name in ("bottom-absorption", "operator-deltas", "inverse-pairs", "shape-lemmas"):
+        assert_check_holds(name)
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
     _report(8, f"operator algebra exhaustive for n<=8 in {elapsed:.2f} s")
@@ -122,7 +122,7 @@ def test_criterion_8_operator_algebra():
 def test_criterion_9_top_two_levels():
     # one path per split of C(n, 2) on the top level; every realized split
     # one level below is unique
-    assert oracle.check_top_levels(range(3, 10)) is None
+    assert_check_holds("top-levels")
     lv4 = extremal.level_sets(4)
     assert sum(len(ps) for k, ps in lv4.items() if sum(k) == 6) == 7
     assert sum(len(ps) for k, ps in lv4.items() if sum(k) == 5) == 4
@@ -131,5 +131,5 @@ def test_criterion_9_top_two_levels():
 
 def test_criterion_10_total_interval_and_ladder():
     # the totals fill [min_ab, C(n, 2)], and the ladder realizes each
-    assert oracle.check_ab_interval(range(1, 11)) is None
+    assert_check_holds("ab-interval")
     _report(10, "area+bounce totals fill the interval; ladder realizes each")

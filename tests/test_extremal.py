@@ -1,6 +1,7 @@
 import math
 import time
 import tracemalloc
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -101,6 +102,22 @@ def test_level_sets_match_grouping_by_methods():
         for key, members in level_sets(n).items():
             assert_sequence_matches(members, grouped[key])
             assert outside not in members
+
+
+def test_level_sets_match_independent_enumeration():
+    # every weakly increasing n-tuple over 0..n-1 with x_r <= r - 1 is the
+    # row starts of one path, and combinations_with_replacement lists them
+    # in word order, sharing no code with the enumerator
+    for n in range(11):
+        grouped = {}
+        for x in combinations_with_replacement(range(n), n):
+            if all(xr <= r for r, xr in enumerate(x)):
+                p = DyckPath(x)
+                grouped.setdefault((p.area(), p.bounce()), []).append(x)
+        table = level_sets(n)
+        assert list(table) == list(grouped)
+        for key, members in table.items():
+            assert members.row_starts == tuple(grouped[key])
 
 
 def test_path_sequences_match_grouping_by_methods():

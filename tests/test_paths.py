@@ -1,4 +1,5 @@
 import math
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given
@@ -10,6 +11,7 @@ from _strategies import dyck_paths
 from dyckab.paths import (
     DyckPath,
     PathSequence,
+    _tail_groups,
     catalan,
     conjugate,
     count_paths_with_bounce_path,
@@ -193,7 +195,7 @@ def test_enumerate_small():
 
 
 def test_enumeration_order_and_uniqueness():
-    for n in range(7):
+    for n in range(10):
         words = [p.word for p in enumerate_paths(n)]
         assert len(set(words)) == len(words) == catalan(n)
         paths = list(enumerate_paths(n))
@@ -221,6 +223,35 @@ def test_iter_area_bounce_agrees_with_objects():
         assert list(enumerate_with_stats(n)) == [
             (p, a, b) for p, (a, b) in zip(enumerate_paths(n), methods)
         ]
+
+
+def test_tail_groups_cover_the_tails_in_word_order():
+    n = 7
+    paths = [
+        x for x in combinations_with_replacement(range(n), n)
+        if all(xr <= r for r, xr in enumerate(x))
+    ]
+    for m in range(1, n):
+        by_prefix = {}
+        for x in paths:
+            by_prefix.setdefault(x[:m], []).append(x)
+        for prefix, members in by_prefix.items():
+            # the last bounce point rows 1..m open, the same for every member
+            last = max(b for b in DyckPath(members[0]).bounce_points() if b < m)
+            groups = _tail_groups(n, m, prefix[-1], last)
+            assert len({(drop, gain) for drop, gain, _ in groups}) == len(groups)
+            tails = []
+            for drop, gain, parts in groups:
+                assert parts[0] == b"" and parts[1:] == sorted(parts[1:])
+                for t in parts[1:]:
+                    p = DyckPath(prefix + tuple(t))
+                    assert p.area() == math.comb(n, 2) - sum(prefix) - drop
+                    assert gain == sum(n - b for b in p.bounce_points() if b > last)
+                tails += parts[1:]
+            assert sorted(tails) == [bytes(x[m:]) for x in members]
+            # groups in the order of their first tail
+            firsts = [parts[1] for _, _, parts in groups]
+            assert firsts == sorted(firsts)
 
 
 def test_path_sequence_reads_like_a_tuple_and_refuses_edits():
