@@ -8,10 +8,15 @@ failure BOTTOM.
 Each operator is one edit of the row starts x (x_r is the start of row r,
 rows 1-based) followed by at most one validity check of the result.  The
 height of column c is h_c = bisect_left(x, c), the number of rows that
-start left of c.  Bounce points and heights come from the memoized sweeps
-of `paths`, read as tuples; an edit in place works on a list copy.
-`shift` and `bounce_boost` share one edit, `_shift_run`: e shifts at one
-bounce index, their conditions checked up front, so the result needs no
+start left of c.  Where a test on the input already shows that the check
+would fail, the operator returns BOTTOM before it edits: `up` when its cut
+lifts row b_i above the diagonal, `unshift` when its moved rows would
+start above it.  Each such refusal is argued exact beside its test, and
+the check stays the last word on every candidate that is built.  Bounce
+points and heights come from the memoized sweeps of `paths`, read as
+tuples; an edit in place works on a list copy.  `shift` and
+`bounce_boost` share one edit, `_shift_run`: e shifts at one bounce
+index, their conditions checked up front, so the result needs no
 validity check.  `_boost_run` is the boost rule on one row-start list and
 its carried bounce points: it plans the shift runs of one boost and
 applies them in place.  `bounce_boost` is one `_boost_run`, and the flip's
@@ -67,8 +72,9 @@ def is_bottom(value) -> bool:
 
 
 def _check_index(path, i, what):
-    if not isinstance(i, int) or isinstance(i, bool) or i < 1 or i > path.n:
-        raise ValueError(f"{what} {i!r} out of range 1..{path.n}")
+    n = len(path._x)
+    if not isinstance(i, int) or isinstance(i, bool) or i < 1 or i > n:
+        raise ValueError(f"{what} {i!r} out of range 1..{n}")
 
 
 def _check_amount(k):
@@ -156,7 +162,10 @@ def unshift(path, i):
     With c = b_i, the preimage's i-th bounce point is c + 1 and the move
     count s is the east run leaving (b_{i-1}, c).  The candidate sets
     row c + 1 to start b_{i-1} and gives rows b_{i+1} - s + 1 .. b_{i+1}
-    start c + 1; it is verified by applying shift forward.
+    start c + 1; it is verified by applying shift forward.  The candidate
+    is not built when s >= b_{i+1} - c: its first moved row would then be
+    row c + 1 or lower and start above the diagonal, which the validity
+    check refuses anyway.
     """
     if path is BOTTOM:
         return BOTTOM
@@ -170,7 +179,11 @@ def unshift(path, i):
     if not (x[c - 1] <= b[i - 1] <= x[c]):
         return BOTTOM
     s = x[c] - b[i - 1]
-    if s < 1:
+    # Rows b_{i+1} - s + 1 .. b_{i+1} of the candidate start at c + 1
+    # (they exist: s <= x_{c+1} <= c < b_{i+1}).  That is above the
+    # diagonal unless the first of them is row c + 2 or higher, so
+    # `_checked` would refuse every candidate with s >= b_{i+1} - c.
+    if s < 1 or s >= b[i + 1] - c:
         return BOTTOM
     y = list(x)
     y[c] = b[i - 1]
@@ -267,7 +280,10 @@ def up(path, i):
     Cuts columns b_{i-1}+1 .. b_{i-1}+u+1 down to height b_i - 1 (u is the
     gap between column b_i and the next bounce point) and re-adds the cut
     material, rotated, against column b_i in the rows just below b_{i+1}.
-    The whole move is atomic: only the final state is validated.
+    The whole move is atomic: only the final state is validated.  One
+    refusal comes before the edit, since it can be read off the input:
+    when the cut reaches row b_i and cut >= b_i, row b_i of the result
+    starts at cut, above the diagonal, so the final check would fail.
     """
     if path is BOTTOM:
         return BOTTOM
@@ -284,6 +300,14 @@ def up(path, i):
     u = 0 if i == m else b[i + 1] - h[b[i] - 1]
     cut = b[i - 1] + u + 1
     if cut > n:
+        return BOTTOM
+    # Row b_i starts at or left of b_{i-1} < cut, so when it is one of the
+    # rows b_i .. h(cut) the first loop raises it to start at cut.  The
+    # beta loop edits rows b_{i+1} - u + 1 .. b_{i+1}, all above b_i since
+    # u <= b_{i+1} - b_i (column b_i has at least b_i rows left of it).  So
+    # row b_i ends at cut, above the diagonal exactly when cut >= b_i, and
+    # `_checked` would refuse the candidate.
+    if cut >= b[i] and h[cut - 1] >= b[i]:
         return BOTTOM
     beta = [h[b[i - 1] + u + 2 - j - 1] - b[i] + 1 for j in range(1, u + 1)]
     x = list(x)

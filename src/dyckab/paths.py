@@ -50,7 +50,7 @@ import math
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from functools import lru_cache
-from itertools import repeat
+from itertools import accumulate, repeat
 from typing import Iterator
 
 # Entries of each sweep memo.  On a stream of 8,000 random paths at
@@ -235,8 +235,10 @@ class DyckPath:
         return cells
 
     def floating_cell_count(self) -> int:
-        base = self.bounce_path()._x
-        return sum(b - x for x, b in zip(self._x, base))
+        """area() - sum of C(alpha_i, 2) over the bounce composition: each
+        row starts at or left of its bounce path's row, whose area is
+        that sum, so no bounce path is built."""
+        return self.area() - sum([a * (a - 1) // 2 for a in self.bounce_composition()])
 
     def to_record(self) -> dict:
         """The shared JSON record for this path."""
@@ -548,11 +550,21 @@ def is_partition(parts) -> bool:
 
 
 def conjugate(parts) -> tuple:
-    """Transpose of the Young diagram; an involution."""
+    """Transpose of the Young diagram; an involution.
+
+    Entry i (1 <= i <= parts[0]) counts the parts >= i: one count per
+    part size, then a suffix sum, in linear time.  On any tuple of ints,
+    parts above parts[0] count as parts[0] and parts <= 0 are ignored.
+    """
     parts = tuple(parts)
-    if not parts:
+    top = parts[0] if parts else 0
+    if top < 1:
         return ()
-    return tuple(sum(1 for p in parts if p >= i) for i in range(1, parts[0] + 1))
+    counts = [0] * top
+    for p in parts:
+        if p >= 1:
+            counts[min(p, top) - 1] += 1
+    return tuple(accumulate(reversed(counts)))[::-1]
 
 
 def distinct_parts(parts) -> tuple:
