@@ -381,22 +381,17 @@ def _decode_area_side(path):
     return Certificate.make(lam, f), image
 
 
-def _decode_bounce_side(path) -> Certificate | None:
-    """Minimal paths only: sort the bounce composition to mu, then each
-    count is the total shortfall of the parts passed over by a moved part;
-    the certificate's bounce-side image must be the path itself.  The
-    counts of one part size come from one left-to-right pass."""
-    if not path.is_minimal():
-        return None
-    alpha = path.bounce_composition()
-    mu = tuple(sorted(alpha, reverse=True))
-    bar = distinct_parts(mu)
+def _shortfall_counts(alpha, bar) -> dict:
+    """The bounce-side count map of the composition ``alpha``, whose
+    distinct part sizes, largest first, are ``bar``: block i holds the
+    parts of the (i+1)-th smallest size, numbered r = 1, 2, ... from the
+    right, and the part at position j gets sum(max(0, size - alpha_k)
+    for k < j), the shortfall of the parts left of it (zeros omitted).
+    One left-to-right pass per size keeps that sum running."""
     l = len(bar)
     f = {}
     for i in range(1, l):
         size = bar[l - i - 1]
-        # one pass: the shortfall so far at each part equal to size,
-        # numbered from the right
         shortfalls = []
         short = 0
         for a in alpha:
@@ -407,6 +402,19 @@ def _decode_bounce_side(path) -> Certificate | None:
         for r, v in enumerate(reversed(shortfalls), 1):
             if v:
                 f[(i, r)] = v
+    return f
+
+
+def _decode_bounce_side(path) -> Certificate | None:
+    """Minimal paths only: sort the bounce composition to mu, then each
+    count is the total shortfall of the parts passed over by a moved part
+    (`_shortfall_counts`); the certificate's bounce-side image must be the
+    path itself."""
+    if not path.is_minimal():
+        return None
+    alpha = path.bounce_composition()
+    mu = tuple(sorted(alpha, reverse=True))
+    f = _shortfall_counts(alpha, distinct_parts(mu))
     lam = conjugate(mu)
     if _certified_image(lam, f) != path:
         return None
