@@ -235,9 +235,10 @@ class DyckPath:
         return cells
 
     def floating_cell_count(self) -> int:
-        """area() - sum of C(alpha_i, 2) over the bounce composition: each
-        row starts at or left of its bounce path's row, whose area is
-        that sum, so no bounce path is built."""
+        """The cells between the path and its bounce path, as area() less
+        the sum of C(alpha_i, 2) over the bounce composition: each row
+        starts at or left of the same row of the bounce path, whose area
+        is that sum, so no bounce path is built."""
         return self.area() - sum([a * (a - 1) // 2 for a in self.bounce_composition()])
 
     def to_record(self) -> dict:

@@ -13,6 +13,7 @@ from dyckab.paths import (
 from dyckab.ops import BOTTOM, add_area_cell, bounce_boost
 from dyckab.bijection import (
     _boost,
+    _shortfall_counts,
     Certificate,
     NotInDomainError,
     apply_area_map,
@@ -56,6 +57,48 @@ def test_index_sets_worked_example():
 def test_index_sets_degenerate():
     assert bounce_index_set((3, 3)) == []  # one distinct part
     assert row_index_set((1, 1)) == []
+
+
+@pytest.mark.parametrize(
+    "parts, conj, bounce_set, row_set",
+    [
+        ((1, 2, 1), (3,), [(1, 1), (2, 1), (2, 2)], [(1, 1), (1, 2), (2, 1)]),
+        ((3, 0, 1), (2, 1, 1), [(1, 1), (2, 1)], [(2, 1)]),
+        ((2, 5), (2, 2), [(1, 1)], [(1, r) for r in range(1, 6)]),
+        ((4, -1, 2), (2, 2, 1, 1), [(1, 1), (2, 1)], [(2, 1), (2, 2)]),
+    ],
+)
+def test_partition_helpers_on_non_partitions(parts, conj, bounce_set, row_set):
+    # pinned values on tuples that are not partitions: unsorted parts,
+    # zero and negative parts
+    assert conjugate(parts) == conj
+    assert bounce_index_set(parts) == bounce_set
+    assert row_index_set(parts) == row_set
+
+
+@st.composite
+def compositions(draw, max_n=30):
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    cuts = draw(st.sets(st.integers(min_value=1, max_value=n - 1))) if n > 1 else set()
+    ends = [0, *sorted(cuts), n]
+    return tuple(b - a for a, b in zip(ends, ends[1:]))
+
+
+@given(compositions())
+def test_shortfall_counts_match_quadratic_definition(alpha):
+    # count (i, r): the r-th part from the right of the (i+1)-th smallest
+    # size, holding the shortfall of every part left of it
+    bar = distinct_parts(tuple(sorted(alpha, reverse=True)))
+    l = len(bar)
+    expected = {}
+    for i in range(1, l):
+        size = bar[l - i - 1]
+        positions = [j for j in range(len(alpha), 0, -1) if alpha[j - 1] == size]
+        for r, jr in enumerate(positions, 1):
+            v = sum(max(0, size - alpha[j - 1]) for j in range(1, jr))
+            if v:
+                expected[(i, r)] = v
+    assert _shortfall_counts(alpha, bar) == expected
 
 
 def test_bounce_map_values():

@@ -2,12 +2,15 @@ import json
 import time
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dyckab import qbell
 from dyckab.cli import ENUMERATION_CAP, apply_operator_string, main, render
 from dyckab.extremal import level_sets
 from dyckab.ops import BOTTOM
 from dyckab.paths import DyckPath, catalan
+from _strategies import dyck_paths
 
 FIGURE_ONE = "NNNEENENEENNEE"
 
@@ -84,6 +87,34 @@ def test_operator_string_parse_errors():
     for bad in ("Q1", "A", "B1", "A1:2", "B1:2^3", "B3:0", "B99:1"):
         with pytest.raises(ValueError):
             apply_operator_string(p, bad)
+
+
+# Operator words of well-formed tokens, words with malformed tokens mixed
+# in, and arbitrary text.  A power repeats an operator that moves area or
+# bounce one way, so it stops at BOTTOM within C(n, 2) steps.
+well_formed_tokens = st.builds(
+    "{}{}{}".format,
+    st.sampled_from("ACSUD"),
+    st.integers(min_value=1, max_value=12),
+    st.sampled_from(["", "^0", "^2", "^-1", "^-3", "^99"]),
+) | st.builds("B{}:{}".format, st.integers(min_value=1, max_value=12), st.integers(0, 9))
+any_tokens = well_formed_tokens | st.text(
+    alphabet=st.sampled_from("ACSUDBQ0123^-: "), max_size=6
+)
+operator_specs = (
+    st.lists(well_formed_tokens, max_size=5).map(",".join)
+    | st.lists(any_tokens, max_size=5).map(",".join)
+    | st.text(max_size=12)
+)
+
+
+@given(dyck_paths(max_n=12), operator_specs)
+def test_operator_string_returns_path_or_bottom_or_raises(p, spec):
+    try:
+        result = apply_operator_string(p, spec)
+    except ValueError:
+        return
+    assert result is BOTTOM or (isinstance(result, DyckPath) and result.n == p.n)
 
 
 # -- subcommands -----------------------------------------------------------------------

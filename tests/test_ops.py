@@ -386,6 +386,30 @@ def test_down_example():
     assert down(blocks(5, (2, 2, 1)), 1) == blocks(5, (3, 1, 1))
 
 
+# Non-BOTTOM results over every path of semilength n = 1..10 and every
+# i in 1..n.  A refusal made before the edit can only turn a result into
+# BOTTOM, and `down`/`unshift` verify through `up`/`shift`, so a refusal
+# that is too eager in either shows here even where the inverse-pair
+# checks still hold.
+OPERATOR_GRAPH_COUNTS = {
+    up: [0, 1, 3, 11, 38, 136, 489, 1781, 6538, 24181],
+    down: [0, 1, 3, 11, 38, 136, 489, 1781, 6538, 24181],
+    shift: [0, 0, 1, 4, 16, 60, 224, 834, 3111, 11637],
+    unshift: [0, 0, 1, 4, 16, 60, 224, 834, 3111, 11637],
+}
+
+
+def test_operator_graph_counts_exhaustive():
+    counts = {op: [] for op in OPERATOR_GRAPH_COUNTS}
+    for n in range(1, 11):
+        paths = list(enumerate_paths(n))
+        for op, found in counts.items():
+            found.append(
+                sum(op(p, i) is not BOTTOM for p in paths for i in range(1, n + 1))
+            )
+    assert counts == OPERATOR_GRAPH_COUNTS
+
+
 # -- existence scans -----------------------------------------------------------------
 
 

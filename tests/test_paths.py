@@ -59,6 +59,29 @@ def test_from_word_rejects_unbalanced():
         DyckPath.from_word("NNE")
 
 
+# words of paths, padded and in either case; short strings over the step
+# letters and a few others; arbitrary text
+words = (
+    st.builds(
+        lambda p, lower, pad: pad + (p.word.lower() if lower else p.word) + pad,
+        dyck_paths(),
+        st.booleans(),
+        st.sampled_from(["", " ", "\t", "\n "]),
+    )
+    | st.text(alphabet=st.sampled_from("NEne xX\t\n1"), max_size=16)
+    | st.text(max_size=8)
+)
+
+
+@given(words)
+def test_from_word_round_trips_or_raises(word):
+    try:
+        p = DyckPath.from_word(word)
+    except ValueError:
+        return
+    assert p.word == word.strip().upper()
+
+
 def test_from_word_rejects_bad_letter():
     with pytest.raises(ValueError, match="illegal step"):
         DyckPath.from_word("NXNE")
@@ -152,6 +175,11 @@ def test_floating_cells():
     assert p.area() - p.bounce_path().area() == 1
 
 
+@given(dyck_paths(max_n=30))
+def test_floating_cell_count_counts_the_cells(p):
+    assert p.floating_cell_count() == len(p.floating_cells())
+
+
 def test_record_schema():
     rec = DyckPath.from_word(FIGURE_ONE).to_record()
     assert rec == {
@@ -174,6 +202,17 @@ def test_conjugate_values():
     assert conjugate((6, 3, 1, 1)) == (4, 2, 2, 1, 1, 1)
     assert conjugate((1,)) == (1,)
     assert conjugate(()) == ()
+
+
+@given(st.lists(st.integers(min_value=-4, max_value=12), max_size=10).map(tuple))
+def test_conjugate_is_the_young_diagram_formula(parts):
+    # the quadratic formula, on any tuple of ints: sorted or not, with
+    # zero and negative parts
+    if parts:
+        young = tuple(sum(1 for p in parts if p >= i) for i in range(1, parts[0] + 1))
+    else:
+        young = ()
+    assert conjugate(parts) == young
 
 
 def test_multiplicity_and_distinct_parts():
