@@ -77,14 +77,14 @@ def test_partition_helpers_on_non_partitions(parts, conj, bounce_set, row_set):
 
 
 @st.composite
-def compositions(draw, max_n=30):
+def random_compositions(draw, max_n=30):
     n = draw(st.integers(min_value=1, max_value=max_n))
     cuts = draw(st.sets(st.integers(min_value=1, max_value=n - 1))) if n > 1 else set()
     ends = [0, *sorted(cuts), n]
     return tuple(b - a for a, b in zip(ends, ends[1:]))
 
 
-@given(compositions())
+@given(random_compositions())
 def test_shortfall_counts_match_quadratic_definition(alpha):
     # count (i, r): the r-th part from the right of the (i+1)-th smallest
     # size, holding the shortfall of every part left of it
