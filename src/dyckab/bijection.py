@@ -21,7 +21,12 @@ a minimal path.  One rule, `_certified_image`, checks all of this and
 returns that image (None when the pair is no certificate).  The flip map
 sends the area-side path of a certificate to its bounce-side path, which
 the area-side decode already built; `classify` decides membership of an
-arbitrary path and returns certificates.  The certificates of one n are
+arbitrary path and returns certificates.  Its bounce-side decode refuses
+a minimal path before it builds lam and its layouts when the path's count
+map breaks the rule's bound clause, which it reads off the sorted bounce
+composition (`_breaks_bound`): the rule refuses exactly those maps at
+that clause, before any image, and stays the last word on every other
+map.  The certificates of one n are
 built once, as an immutable stream of (certificate, area-side path,
 bounce-side path) that `iter_certificates`, `flip_sets`, the extended
 pairing and `qbell.qt_flip_closure` read (`_certified`).
@@ -103,11 +108,15 @@ class _Layout(NamedTuple):
     block: DyckPath | None  # block path of lam; None unless parts are >= 1
 
 
-# Bounded, since callers may meet any number of partitions (2,747 in
-# 8,000 random paths at n = 12..24, about 0.4 KB each); 1,024 holds every
-# partition of n <= 16.  A miss costs about 10 us for partitions of
-# 12..24 (2-core Xeon, Python 3.11): one Counter for the multiplicities,
-# a linear conjugate and the block path.
+# Bounded, since callers may meet any number of partitions (about 0.4 KB
+# each); 1,024 holds every partition of n <= 16.  The 8,000 random paths
+# at n = 12..24 of the benchmark's seed 1, each classified and round
+# tripped through the flip, reach 888 partitions: only certificates and
+# area-side candidates build a layout, since the bounce-side decode
+# refuses most count maps before it builds lam (`_breaks_bound`).  A miss
+# costs about 10 us for partitions of 12..24 (2-core Xeon, Python 3.11):
+# one Counter for the multiplicities, a linear conjugate and the block
+# path.
 @lru_cache(maxsize=1024)
 def _layout(lam: tuple) -> _Layout:
     bar = distinct_parts(lam)
@@ -405,16 +414,42 @@ def _shortfall_counts(alpha, bar) -> dict:
     return f
 
 
+def _breaks_bound(mu, f) -> bool:
+    """Whether the count map f = `_shortfall_counts` of a composition
+    sorted to ``mu`` breaks the rule's bound clause on lam = mu': the
+    count before the rightmost part of some size s_j, j <= l - 1, is at
+    least N_{j+1}, the number of parts of mu of size s_{j+1} or more.
+
+    With s_1 > ... > s_l the distinct sizes of mu, N_k counts the parts
+    >= s_k, so the distinct parts of lam, largest first, are
+    (N_l, ..., N_1): the rule pairs the block of size s_j (block
+    i = l - j of mu's bounce index set) with the bound N_{j+1}.  That
+    block's counts, r = 1, 2, ... from the right, are running shortfalls
+    read right to left, so they are weakly decreasing and nonnegative, and
+    every nonzero one sits on the index set.  Its first count is the
+    largest, and the rule refuses the pair at its bound clause exactly
+    when that count reaches the bound."""
+    at_least = [k for k in range(1, len(mu)) if mu[k] != mu[k - 1]]
+    at_least.append(len(mu))  # at_least[k - 1] = N_k
+    l = len(at_least)
+    return any(f.get((l - j, 1), 0) >= at_least[j] for j in range(1, l))
+
+
 def _decode_bounce_side(path) -> Certificate | None:
     """Minimal paths only: sort the bounce composition to mu, then each
     count is the total shortfall of the parts passed over by a moved part
     (`_shortfall_counts`); the certificate's bounce-side image must be the
-    path itself."""
+    path itself.  A count map that breaks the rule's bound clause
+    (`_breaks_bound`) is refused before lam = mu' and its layouts are
+    built: `_certified_image` would refuse it at that clause, before any
+    image, so the refusal is exact."""
     if not path.is_minimal():
         return None
     alpha = path.bounce_composition()
     mu = tuple(sorted(alpha, reverse=True))
     f = _shortfall_counts(alpha, distinct_parts(mu))
+    if _breaks_bound(mu, f):
+        return None
     lam = conjugate(mu)
     if _certified_image(lam, f) != path:
         return None

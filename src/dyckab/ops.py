@@ -11,8 +11,10 @@ height of column c is h_c = bisect_left(x, c), the number of rows that
 start left of c.  Where a test on the input already shows that the check
 would fail, the operator returns BOTTOM before it edits: `up` when its cut
 lifts row b_i above the diagonal, `unshift` when its moved rows would
-start above it.  Each such refusal is argued exact beside its test, and
-the check stays the last word on every candidate that is built.  Bounce
+start above it, and `shift` when its `_shift_run` would refuse, read on
+the input before any copy.  Each such refusal is argued exact beside its
+test, and the check stays the last word on every candidate that is
+built.  Bounce
 points and heights come from the memoized sweeps of `paths`, read as
 tuples; an edit in place works on a list copy.  `shift` and
 `bounce_boost` share one edit, `_shift_run`: e shifts at one bounce
@@ -145,15 +147,25 @@ def remove_column_cell(path, col):
 def shift(path, i):
     """Trade the cells of row b_i for cells of column b_i: a `_shift_run`
     of length 1.  BOTTOM when i >= m or the run fails; otherwise area is
-    unchanged, bounce grows by one, and only b_i moves (down by one)."""
+    unchanged, bounce grows by one, and only b_i moves (down by one).  The
+    run's conditions are read off the input tuples first, so a refused
+    shift copies nothing."""
     if path is BOTTOM:
         return BOTTOM
     _check_index(path, i, "bounce index")
-    b = _bounce_points(path.row_starts)
+    x = path.row_starts
+    b = _bounce_points(x)
     if i >= len(b) - 1:
         return BOTTOM
-    x = list(path.row_starts)
-    return _path(tuple(x)) if _shift_run(x, list(b), i, 1) else BOTTOM
+    # `_shift_run`'s conditions at e = 1, on the unedited input: its
+    # window test is void there, since no row starts in (c - 1, c).
+    p, c = b[i - 1], b[i]
+    s = b[i + 1] - bisect_left(x, c)
+    t = p + s
+    if s < 1 or t > c - 1 or t > x[c] or x[c - 1] != p:
+        return BOTTOM
+    y = list(x)
+    return _path(tuple(y)) if _shift_run(y, list(b), i, 1) else BOTTOM
 
 
 def unshift(path, i):
