@@ -1,11 +1,12 @@
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dyckab.paths import (
     DyckPath,
+    compositions,
     conjugate,
     distinct_parts,
     partitions,
@@ -13,6 +14,9 @@ from dyckab.paths import (
 from dyckab.ops import BOTTOM, add_area_cell, bounce_boost
 from dyckab.bijection import (
     _boost,
+    _breaks_bound,
+    _certified_image,
+    _decode_bounce_side,
     _shortfall_counts,
     Certificate,
     NotInDomainError,
@@ -347,6 +351,48 @@ def test_union_sizes_and_bounds():
 
 
 # -- classification -----------------------------------------------------------------
+
+
+# bounce-side members among the 2^(n-1) block paths of n = 1..16; an
+# early refusal only turns members into non-members, so equal counts
+# mean equal sets
+BOUNCE_SIDE_MEMBERS = [
+    1, 2, 4, 7, 14, 23, 44, 74, 131, 229, 404, 696, 1221, 2113, 3655, 6309,
+]
+
+
+def bounce_side_members(n):
+    return {
+        p
+        for p in (blocks(alpha) for alpha in compositions(n))
+        if _decode_bounce_side(p) is not None
+    }
+
+
+def test_bounce_side_member_counts_on_block_paths():
+    counts = [len(bounce_side_members(n)) for n in range(1, 17)]
+    assert counts == BOUNCE_SIDE_MEMBERS
+
+
+def test_bounce_side_members_are_the_flip_image():
+    for n in range(1, 13):
+        assert bounce_side_members(n) == set(flip_sets(n)[1])
+
+
+@settings(max_examples=300)
+@given(random_compositions(max_n=40))
+@example((1, 3))  # its one count, 2, equals its bound
+def test_bound_refusal_is_the_rules_bound_clause(alpha):
+    # block i of the count map is bounded by the i-th distinct part of
+    # lam = mu', largest first; a refused pair is no certificate
+    mu = tuple(sorted(alpha, reverse=True))
+    f = _shortfall_counts(alpha, distinct_parts(mu))
+    lam = conjugate(mu)
+    bounds = distinct_parts(lam)
+    broken = any(f.get((i, 1), 0) >= bounds[i - 1] for i in range(1, len(bounds)))
+    assert _breaks_bound(mu, f) == broken
+    if broken:
+        assert _certified_image(lam, f) is None
 
 
 def test_classify_bounce_side_example():

@@ -1,10 +1,16 @@
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import dyckab
 from dyckab import qbell
 from dyckab.cli import ENUMERATION_CAP, apply_operator_string, main, render
 from dyckab.extremal import level_sets
@@ -351,12 +357,6 @@ def test_render_subcommand(capsys):
 
 
 def test_module_entry_point():
-    import os
-    import subprocess
-    import sys
-
-    import dyckab
-
     # `python -m` searches the working directory first, so the child
     # imports the package this process imported
     src = os.path.dirname(os.path.dirname(dyckab.__file__))
@@ -376,3 +376,43 @@ def test_module_entry_point():
     )
     assert proc.returncode == 2
     assert proc.stderr.strip()
+
+
+def test_package_entry_point():
+    src = os.path.dirname(os.path.dirname(dyckab.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dyckab", "verify", "--suite", "statistics", "--n", "3"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "0 failed" in proc.stdout
+
+
+PATH_VERBS = [
+    ["stats"], ["render"], ["phi"], ["phi", "--inverse"], ["classify"],
+    ["gamma"], ["gamma", "--inverse"],
+]
+path_texts = (
+    st.text(max_size=48)
+    | st.text(alphabet="NEne \n-", max_size=48)
+    | dyck_paths(max_n=24).map(lambda p: p.word)
+)
+
+
+@given(st.sampled_from(PATH_VERBS), path_texts)
+def test_path_arguments_answer_or_fail_in_one_line(verb, text):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main([verb[0], "--path", text, *verb[1:]])
+        except SystemExit as exc:  # argparse refusing the argument vector
+            code = None
+            assert exc.code == 2
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    if code is not None:
+        assert code in (0, 2)
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
