@@ -26,10 +26,10 @@ a minimal path before it builds lam and its layouts when the path's count
 map breaks the rule's bound clause, which it reads off the sorted bounce
 composition (`_breaks_bound`): the rule refuses exactly those maps at
 that clause, before any image, and stays the last word on every other
-map.  The certificates of one n are
-built once, as an immutable stream of (certificate, area-side path,
-bounce-side path) that `iter_certificates`, `flip_sets`, the extended
-pairing and `qbell.qt_flip_closure` read (`_certified`).
+map.  The certificates of one n are built once, as an immutable stream of
+(certificate, area-side path, bounce-side path) that `iter_certificates`,
+`flip_sets`, the extended pairing and `qbell.qt_flip_closure` read
+(`_certified`).
 
 The extended flip composes both directions: area cells via f on top of
 bounce moves via g (and vice versa), for pairs of certificates whose

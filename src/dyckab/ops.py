@@ -14,10 +14,9 @@ lifts row b_i above the diagonal, `unshift` when its moved rows would
 start above it, and `shift` when its `_shift_run` would refuse, read on
 the input before any copy.  Each such refusal is argued exact beside its
 test, and the check stays the last word on every candidate that is
-built.  Bounce
-points and heights come from the memoized sweeps of `paths`, read as
-tuples; an edit in place works on a list copy.  `shift` and
-`bounce_boost` share one edit, `_shift_run`: e shifts at one bounce
+built.  Bounce points and heights come from the memoized sweeps of
+`paths`, read as tuples; an edit in place works on a list copy.  `shift`
+and `bounce_boost` share one edit, `_shift_run`: e shifts at one bounce
 index, their conditions checked up front, so the result needs no
 validity check.  `_boost_run` is the boost rule on one row-start list and
 its carried bounce points: it plans the shift runs of one boost and
