@@ -35,12 +35,16 @@ The extended flip composes both directions: area cells via f on top of
 bounce moves via g (and vice versa), for pairs of certificates whose
 touched row ranges do not interfere.  The pairing, its decode and the
 two-stage flip reuse the bounce-side images of f and g from the rule.
+
+`Certificate`, `Classification` and `ExtendedCertificate` are named
+tuples, like every record of the package: immutable (assignment raises
+AttributeError), compared and hashed by their fields, and, being tuples,
+also equal to the plain tuple of their fields, iterable and indexable.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, combinations_with_replacement, product
 from typing import NamedTuple
@@ -62,8 +66,7 @@ class NotInDomainError(ValueError):
     """Raised when a path is fed to a flip map it does not belong to."""
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """A valid (partition, count map) pair; count map stored canonically."""
 
     partition: tuple
@@ -341,8 +344,10 @@ def flip_sets(n: int):
 # -- classification -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
+    """The certificates of a path on each side of the flip, None where it
+    is no member."""
+
     area_certificate: Certificate | None
     bounce_certificate: Certificate | None
 
@@ -489,8 +494,7 @@ def phi_inverse(path) -> DyckPath:
 # -- extended pairs ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExtendedCertificate:
+class ExtendedCertificate(NamedTuple):
     """A pair of certificates (f on lam, g on lam') driving the two-stage
     flip; g rides strictly below the rows the f-moves disturb and vice
     versa, and |f| >= |g|."""

@@ -17,14 +17,16 @@ import itertools
 import json
 import math
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import bijection, extremal, ops, paths, qbell
 from .ops import BOTTOM
 
 
-@dataclass
-class CheckReport:
+class CheckReport(NamedTuple):
+    """One check's verdict; a named tuple, immutable like every record of
+    the package."""
+
     name: str
     n_range: str
     passed: bool

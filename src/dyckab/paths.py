@@ -101,7 +101,10 @@ class DyckPath:
             raise ValueError(
                 f"unbalanced word: {norths} N steps vs {easts} E steps"
             )
-        return cls(x)
+        # Valid row starts by the parse: x only grows, since the east
+        # count never falls, and at the r-th N the r - 1 norths before it
+        # bound the easts (the dip test above), so x_r <= r - 1.
+        return _path(tuple(x))
 
     @classmethod
     def from_row_starts(cls, x) -> "DyckPath":

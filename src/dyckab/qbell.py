@@ -28,8 +28,8 @@ distinct totals as well as the nonzero q-Bell coefficients.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .paths import catalan
 
@@ -159,25 +159,29 @@ def q_bell(n: int) -> tuple:
 
     The entries do not depend on n.  Diagonal d holds W(m, d-m) for
     m = 0..d; it opens with B_d, the last entry of diagonal d-1, and
-    each further entry is one shift and one add of the diagonal before.
-    Diagonals 0..n-1 end with B_n, after about n**2/2 shift-adds of
-    integers packed at q = 2**w, w = 8 * (bits(Bell(n)) // 8 + 1), and
-    B_n is read back once, every digit of it.  No digit carries: every
-    coefficient of W(m, j) is nonnegative, and at q = 1 W(m, j) counts the
-    set partitions of m+j+1 elements in which the last element's block
-    avoids j fixed others, so each is at most Bell(m+j+1) <= Bell(n)
-    < 2**w.  The weight-1 specialization is the Bell number, and the
-    nonzero coefficients sit in degrees 0..width(n) with no gaps."""
+    each further entry is one shift and one add of the diagonal before,
+    so one list holds the diagonal, rewritten in place.  Diagonals 0..n-1
+    end with B_n, after about n**2/2 shift-adds of integers packed at
+    q = 2**w, w = 8 * (bits(Bell(n)) // 8 + 1), and B_n is read back
+    once, every digit of it.  No digit carries: every coefficient of
+    W(m, j) is nonnegative, and at q = 1 W(m, j) counts the set
+    partitions of m+j+1 elements in which the last element's block avoids
+    j fixed others, so each is at most Bell(m+j+1) <= Bell(n) < 2**w.
+    The weight-1 specialization is the Bell number, and the nonzero
+    coefficients sit in degrees 0..width(n) with no gaps."""
     if n < 0:
         raise ValueError("semilength must be nonnegative")
     nbytes = bell_number(n).bit_length() // 8 + 1
     w = 8 * nbytes
     diagonal = [1]  # diagonal 0: W(0, 0) = B_0
     for d in range(1, n):
-        row = [diagonal[-1]]
+        # Overwrite diagonal d-1 with diagonal d, left to right: carry
+        # holds the old entry m-1 once its slot holds the new one.
+        carry = diagonal[0]
+        diagonal[0] = diagonal[-1]
+        diagonal.append(0)
         for m in range(1, d + 1):
-            row.append((diagonal[m - 1] << (w * (d - m))) + row[-1])
-        diagonal = row
+            carry, diagonal[m] = diagonal[m], (carry << (w * (d - m))) + diagonal[m - 1]
     value = diagonal[-1]
     return tuple(_unpack(value, nbytes, -(-value.bit_length() // w)))
 
@@ -236,10 +240,10 @@ def distinct_ab_count(n: int) -> int:
 # -- bivariate tables ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BivariateTable:
+class BivariateTable(NamedTuple):
     """Dense square table of counts, rows indexed by area, columns by
-    bounce, both 0..C(n,2)."""
+    bounce, both 0..C(n,2).  A named tuple (n, rows): immutable, compared
+    and hashed by its fields."""
 
     n: int
     rows: tuple  # tuple of tuples of ints

@@ -7,7 +7,7 @@ import sys
 import time
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dyckab
@@ -401,12 +401,14 @@ path_texts = (
 )
 
 
-@given(st.sampled_from(PATH_VERBS), path_texts)
-def test_path_arguments_answer_or_fail_in_one_line(verb, text):
+def answer_or_fail_in_one_line(argv):
+    """Run ``main(argv)``: it returns 0 or 2 or argparse exits with 2, a 2
+    leaves one stderr line starting "error:", and no traceback prints.
+    Returns the exit code, None for argparse's exit."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = main([verb[0], "--path", text, *verb[1:]])
+            code = main(argv)
         except SystemExit as exc:  # argparse refusing the argument vector
             code = None
             assert exc.code == 2
@@ -416,3 +418,51 @@ def test_path_arguments_answer_or_fail_in_one_line(verb, text):
     if code == 2:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
+    return code
+
+
+@given(st.sampled_from(PATH_VERBS), path_texts)
+def test_path_arguments_answer_or_fail_in_one_line(verb, text):
+    answer_or_fail_in_one_line([verb[0], "--path", text, *verb[1:]])
+
+
+flags = st.sampled_from([[], ["--csv"]])
+INTEGER_ARGVS = {
+    "enum": st.builds(
+        lambda n, fmt: ["enum", "--n", n, "--format", fmt],
+        st.integers(-3, 8), st.sampled_from(["words", "json"]),
+    ),
+    "minimal": st.builds(
+        lambda n, kind: ["minimal", "--n", n, "--kind", kind],
+        st.integers(-3, ENUMERATION_CAP + 1), st.sampled_from(["area", "bounce"]),
+    ),
+    "levels": st.builds(
+        lambda n, flag: ["levels", "--n", n, *flag], st.integers(-3, 13), flags
+    ),
+    "construct": st.builds(
+        lambda n, a, b: ["construct", "--n", n, "--area", a, "--bounce", b],
+        st.integers(-3, 9) | st.sampled_from([13, 2000]),
+        st.integers(-2, 60), st.integers(-2, 60),
+    ),
+    "fqt": st.builds(
+        lambda n, flag: ["fqt", "--n", n, *flag], st.integers(-3, 14), flags
+    ),
+    "qbell": st.builds(lambda n: ["qbell", "--n", n], st.integers(-3, 80)),
+    "sequence": st.builds(
+        lambda name, count: ["sequence", "--name", name, "--count", count],
+        st.sampled_from(["d", "g"]), st.integers(-3, 80),
+    ),
+    "verify": st.builds(
+        lambda n: ["verify", "--suite", "statistics", "--n", n], st.integers(-3, 3)
+    ),
+}
+
+
+@pytest.mark.parametrize("verb", sorted(INTEGER_ARGVS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_integer_arguments_answer_or_fail_in_one_line(verb, data):
+    argv = [str(a) for a in data.draw(INTEGER_ARGVS[verb])]
+    code = answer_or_fail_in_one_line(argv)
+    if verb == "minimal" and int(argv[2]) > ENUMERATION_CAP:
+        assert code == 2

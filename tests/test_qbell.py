@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -119,6 +120,15 @@ def reference_q_bells(n):
 def test_q_bell_matches_reference_recursion():
     # n = -1 is in test_qt_catalan_degenerate_sizes
     assert [q_bell(n) for n in range(46)] == reference_q_bells(45)
+
+
+def test_q_bell_pinned_to_seventy():
+    # sha256 of repr(reference_q_bells(70)), which takes about 8 s to
+    # recompute; q_bell must give the same 71 polynomials
+    got = repr([q_bell(n) for n in range(71)]).encode()
+    assert hashlib.sha256(got).hexdigest() == (
+        "22f21579e3c66ade815e48e146671c9964bda48f1c6a69fe70a947a97a796185"
+    )
 
 
 def test_q_bell_cold_call_is_one_entry():
