@@ -257,13 +257,13 @@ def _certified_image(lam, count_map):
     """The bounce-side image of (lam, count_map) when the pair is a
     certificate, else None.
 
-    lam must be a partition and count_map supported on the bounce index
-    set of lam', with nonnegative values, weakly decreasing in each block
-    and the first below the matching distinct part of lam; the image,
-    built once, must be a minimal path.
+    lam must already be known to be a partition: the callers test it
+    (`is_certificate`, `extended_pair_valid`) or built it as one (the two
+    decoders).  count_map must be supported on the bounce index set of
+    lam', with nonnegative values, weakly decreasing in each block and the
+    first below the matching distinct part of lam; the image, built once,
+    must be a minimal path.
     """
-    if not is_partition(lam):
-        return None
     if any(v < 0 for v in count_map.values()):
         return None
     layout = _layout(lam)
@@ -289,7 +289,8 @@ def _minimal_image(lamp, count_map):
 
 def is_certificate(lam, count_map) -> bool:
     """Membership test for the certificate set of n = |lam|."""
-    return _certified_image(tuple(lam), count_map) is not None
+    lam = tuple(lam)
+    return is_partition(lam) and _certified_image(lam, count_map) is not None
 
 
 @lru_cache(maxsize=None)
@@ -537,6 +538,8 @@ def _pair_clear(lam, f, g, f_image, g_image) -> bool:
 def extended_pair_valid(lam, f, g) -> bool:
     """Both certificates valid, |f| >= |g|, and row ranges clear both ways."""
     lam = tuple(lam)
+    if not is_partition(lam):
+        return False
     f_image = _certified_image(lam, f)
     if f_image is None:
         return False

@@ -294,6 +294,8 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "sequence":
+        if args.count < 0:
+            raise ValueError("count must be nonnegative")
         fn = (
             qbell.distinct_ab_count
             if args.name == "d"

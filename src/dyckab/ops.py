@@ -14,14 +14,19 @@ lifts row b_i above the diagonal, `unshift` when its moved rows would
 start above it, and `shift` when its `_shift_run` would refuse, read on
 the input before any copy.  Each such refusal is argued exact beside its
 test, and the check stays the last word on every candidate that is
-built.  Bounce points and heights come from the memoized sweeps of
-`paths`, read as tuples; an edit in place works on a list copy.  `shift`
-and `bounce_boost` share one edit, `_shift_run`: e shifts at one bounce
-index, their conditions checked up front, so the result needs no
-validity check.  `_boost_run` is the boost rule on one row-start list and
-its carried bounce points: it plans the shift runs of one boost and
-applies them in place.  `bounce_boost` is one `_boost_run`, and the flip's
-bounce map (`bijection._boost`) makes one per count on a single list.
+built.  Bounce points come from the memoized sweep of `paths`, read as
+a tuple; column heights are bisected only where they are needed; an
+edit in place works on a list copy.  `shift` and `up` are thin public entries: the
+BOTTOM test and the index check, then a private core on the row-start
+tuple (`_shift`, `_up`) that returns the path or BOTTOM.  Their inverses
+verify each candidate they build by running that core forward at the
+index they have already checked.  `shift` and `bounce_boost` share one
+edit, `_shift_run`: e shifts at one bounce index, their conditions
+checked up front, so the result needs no validity check.  `_boost_run`
+is the boost rule on one row-start list and its carried bounce points:
+it plans the shift runs of one boost and applies them in place.
+`bounce_boost` is one `_boost_run`, and the flip's bounce map
+(`bijection._boost`) makes one per count on a single list.
 
 Cell operators:
   add_area_cell(p, r)      one cell to the left of the path in row r:
@@ -45,7 +50,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
-from .paths import _bounce_points, _column_heights, _path, _row_starts_ok
+from .paths import _bounce_points, _path, _row_starts_ok
 
 
 class Bottom:
@@ -74,7 +79,13 @@ def is_bottom(value) -> bool:
 
 def _check_index(path, i, what):
     n = len(path._x)
-    if not isinstance(i, int) or isinstance(i, bool) or i < 1 or i > n:
+    # a plain int, the common case, skips the isinstance tests; bools and
+    # the other subclasses of int take them
+    if (
+        type(i) is not int and (not isinstance(i, int) or isinstance(i, bool))
+        or i < 1
+        or i > n
+    ):
         raise ValueError(f"{what} {i!r} out of range 1..{n}")
 
 
@@ -152,7 +163,12 @@ def shift(path, i):
     if path is BOTTOM:
         return BOTTOM
     _check_index(path, i, "bounce index")
-    x = path.row_starts
+    return _shift(path._x, i)
+
+
+def _shift(x, i):
+    """`shift` on the row starts ``x`` of a path at a bounce index ``i``
+    already checked against its length: the path or BOTTOM."""
     b = _bounce_points(x)
     if i >= len(b) - 1:
         return BOTTOM
@@ -173,10 +189,11 @@ def unshift(path, i):
     With c = b_i, the preimage's i-th bounce point is c + 1 and the move
     count s is the east run leaving (b_{i-1}, c).  The candidate sets
     row c + 1 to start b_{i-1} and gives rows b_{i+1} - s + 1 .. b_{i+1}
-    start c + 1; it is verified by applying shift forward.  The candidate
-    is not built when s >= b_{i+1} - c: its first moved row would then be
-    row c + 1 or lower and start above the diagonal, which the validity
-    check refuses anyway.
+    start c + 1; it is verified by applying shift's core, `_shift`,
+    forward at the index already checked.  The candidate is not built
+    when s >= b_{i+1} - c: its first moved row would then be row c + 1 or
+    lower and start above the diagonal, which the validity check refuses
+    anyway.
     """
     if path is BOTTOM:
         return BOTTOM
@@ -200,7 +217,7 @@ def unshift(path, i):
     y[c] = b[i - 1]
     y[b[i + 1] - s : b[i + 1]] = [c + 1] * s
     candidate = _checked(y)
-    if candidate is BOTTOM or shift(candidate, i) != path:
+    if candidate is BOTTOM or _shift(candidate._x, i) != path:
         return BOTTOM
     return candidate
 
@@ -299,35 +316,42 @@ def up(path, i):
     if path is BOTTOM:
         return BOTTOM
     _check_index(path, i, "bounce index")
-    n = path.n
-    x = path.row_starts
+    return _up(path._x, i)
+
+
+def _up(x, i):
+    """`up` on the row starts ``x`` of a path at a bounce index ``i``
+    already checked against its length: the path or BOTTOM.  The column
+    heights it reads, h_c = bisect_left(x, c), are those of columns
+    b_{i-1}, b_i and cut and of the u columns below cut that beta reads."""
     b = _bounce_points(x)
     m = len(b) - 1
     if i > m:
         return BOTTOM
-    h = _column_heights(x)
-    if i >= 2 and h[b[i - 1] - 1] == b[i]:
+    p, c = b[i - 1], b[i]
+    if i >= 2 and bisect_left(x, p) == c:
         return BOTTOM
-    u = 0 if i == m else b[i + 1] - h[b[i] - 1]
-    cut = b[i - 1] + u + 1
-    if cut > n:
+    u = 0 if i == m else b[i + 1] - bisect_left(x, c)
+    cut = p + u + 1
+    if cut > len(x):
         return BOTTOM
+    top = bisect_left(x, cut)
     # Row b_i starts at or left of b_{i-1} < cut, so when it is one of the
-    # rows b_i .. h(cut) the first loop raises it to start at cut.  The
-    # beta loop edits rows b_{i+1} - u + 1 .. b_{i+1}, all above b_i since
+    # rows b_i .. h(cut) the cut raises it to start at cut.  The beta edit
+    # reaches rows b_{i+1} - u + 1 .. b_{i+1}, all above b_i since
     # u <= b_{i+1} - b_i (column b_i has at least b_i rows left of it).  So
     # row b_i ends at cut, above the diagonal exactly when cut >= b_i, and
     # `_checked` would refuse the candidate.
-    if cut >= b[i] and h[cut - 1] >= b[i]:
+    if cut >= c and top >= c:
         return BOTTOM
-    beta = [h[b[i - 1] + u + 2 - j - 1] - b[i] + 1 for j in range(1, u + 1)]
-    x = list(x)
-    for r in range(b[i], h[cut - 1] + 1):
-        if x[r - 1] < cut:
-            x[r - 1] = cut
-    for j in range(1, u + 1):
-        x[b[i + 1] - u + j - 1] -= beta[j - 1]
-    return _checked(x)
+    y = list(x)
+    # Rows 1 .. h(cut) are the rows that start left of cut, so every one
+    # of rows b_i .. h(cut) is raised to cut.
+    y[c - 1 : top] = [cut] * (top - c + 1)
+    # Row b_{i+1} - u + j loses beta_j = h(cut + 1 - j) - b_i + 1 cells.
+    for j in range(u):
+        y[b[i + 1] - u + j] -= bisect_left(x, cut - j) - c + 1
+    return _checked(y)
 
 
 def down(path, i):
@@ -335,7 +359,8 @@ def down(path, i):
 
     Rebuilds the unique candidate preimage (un-extend the rows below
     b_{i+1}, restore the cut columns at the corner) and verifies it by
-    applying up forward, so up/down are mutually inverse by construction.
+    applying up's core, `_up`, forward at the index already checked, so
+    up/down are mutually inverse by construction.
     """
     if path is BOTTOM:
         return BOTTOM
@@ -369,7 +394,7 @@ def down(path, i):
         t = r - (c + 1)
         xp[r - 1] = b[i - 1] + 1 + sum(1 for v in beta if v <= t)
     candidate = _checked(xp)
-    if candidate is BOTTOM or up(candidate, i) != path:
+    if candidate is BOTTOM or _up(candidate._x, i) != path:
         return BOTTOM
     return candidate
 

@@ -32,16 +32,18 @@ semilength at most 256; the level tables stop at 12.
 One unchecked builder, `_blocks`, gives the block path of a composition
 to `from_composition`, `bounce_path` and the flip's layouts.
 
-Bounce points and column heights are swept from the row starts, and each
-sweep is memoized per row-start tuple: `_bounce_points` and
-`_column_heights` are bounded `lru_cache`s of SWEEP_MEMO_SIZE entries
-that return tuples, so no caller can change a cached result.  The
-`DyckPath` statistics and the operators in `ops` read them; an operator
-call reads the points of one path several times (its own check, the
-inverse it verifies, the statistics of its result), so a memo this small
-holds what is reused and a path object holds nothing extra.  One-off
-reads of many paths, such as the class index over a level table, sweep
-without the memo (`_sweep_bounce_points`).
+Bounce points are swept from the row starts, and the sweep is memoized
+per row-start tuple: `_bounce_points` is a bounded `lru_cache` of
+SWEEP_MEMO_SIZE entries that returns tuples, so no caller can change a
+cached result.  The `DyckPath` statistics and the operators in `ops`
+read it; an operator call reads the points of one path several times
+(its own check, the inverse it verifies, the statistics of its result),
+so a memo this small holds what is reused and a path object holds
+nothing extra.  One-off reads of many paths, such as the class index
+over a level table, sweep without the memo (`_sweep_bounce_points`).
+Column heights are not memoized: h_c = bisect_left(x, c), so an
+operator bisects for the few heights it needs, and `column_heights`
+sweeps all of them afresh.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from functools import lru_cache
 from itertools import accumulate, repeat
 from typing import Iterator
 
-# Entries of each sweep memo.  On a stream of 8,000 random paths at
+# Entries of the bounce-point memo.  On a stream of 8,000 random paths at
 # n = 12..24 the hit counts were the same at 32, 64 and 256 entries, since
 # the reuse happens within one operator call or one query.
 SWEEP_MEMO_SIZE = 64
@@ -197,7 +199,8 @@ class DyckPath:
     def column_heights(self) -> tuple:
         """Cells below the path in each column: h[c-1] for column c, the
         number of rows that start left of c."""
-        return _column_heights(self._x)
+        x = self._x
+        return tuple([bisect_left(x, c) for c in range(1, len(x) + 1)])
 
     def bounce_points(self) -> tuple:
         """Diagonal touch heights (b_0=0, ..., b_m=n) of the bounce path."""
@@ -245,16 +248,24 @@ class DyckPath:
         return self.area() - sum([a * (a - 1) // 2 for a in self.bounce_composition()])
 
     def to_record(self) -> dict:
-        """The shared JSON record for this path."""
+        """The shared JSON record for this path: the values of `area`,
+        `bounce`, `bounce_composition`, `bounce_points`, `area_sequence`
+        and `floating_cell_count`, derived from one read of the row starts
+        and of the bounce points."""
+        x = self._x
+        n = len(x)
+        pts = _bounce_points(x)
+        alpha = _composition(pts)
+        area = (n * (n - 1)) // 2 - sum(x)
         return {
-            "n": self.n,
+            "n": n,
             "word": self.word,
-            "area": self.area(),
-            "bounce": self.bounce(),
-            "alpha": list(self.bounce_composition()),
-            "bounce_points": list(self.bounce_points()),
-            "area_seq": list(self.area_sequence()),
-            "floating": self.floating_cell_count(),
+            "area": area,
+            "bounce": n * (len(pts) - 1) - sum(pts),
+            "alpha": list(alpha),
+            "bounce_points": list(pts),
+            "area_seq": [r - xr for r, xr in enumerate(x)],
+            "floating": area - sum([a * (a - 1) // 2 for a in alpha]),
         }
 
 
@@ -369,13 +380,6 @@ def _sweep_bounce_points(x) -> tuple:
 
 # The memoized sweep, keyed by the row-start tuple ``x``.
 _bounce_points = lru_cache(maxsize=SWEEP_MEMO_SIZE)(_sweep_bounce_points)
-
-
-@lru_cache(maxsize=SWEEP_MEMO_SIZE)
-def _column_heights(x) -> tuple:
-    """Column heights of the path with row starts ``x`` (a tuple):
-    h_c = bisect_left(x, c)."""
-    return tuple([bisect_left(x, c) for c in range(1, len(x) + 1)])
 
 
 def _composition(pts) -> tuple:

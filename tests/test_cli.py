@@ -319,6 +319,14 @@ def test_sequence_g(capsys):
     assert code == 0 and out.split() == ["0", "0", "0", "1", "2"]
 
 
+def test_sequence_refuses_negative_count(capsys):
+    for name in ("d", "g"):
+        code, out, err = run(capsys, "sequence", "--name", name, "--count", "-3")
+        assert (code, out, err) == (2, "", "error: count must be nonnegative\n")
+    code, out, _ = run(capsys, "sequence", "--name", "d", "--count", "0")
+    assert (code, out) == (0, "\n")
+
+
 def test_verify_subcommand(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "statistics", "--n", "6")
     assert code == 0
@@ -465,4 +473,6 @@ def test_integer_arguments_answer_or_fail_in_one_line(verb, data):
     argv = [str(a) for a in data.draw(INTEGER_ARGVS[verb])]
     code = answer_or_fail_in_one_line(argv)
     if verb == "minimal" and int(argv[2]) > ENUMERATION_CAP:
+        assert code == 2
+    if verb == "sequence" and int(argv[4]) < 0:
         assert code == 2

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 
@@ -267,8 +269,9 @@ def reference_sweeps(x):
 
 
 def test_operators_leave_memoized_sweeps_intact():
-    # the sweeps are memoized per row-start tuple; an operator editing in
-    # place must not reach a cached result
+    # the bounce points are memoized per row-start tuple; an operator
+    # editing in place must not reach the cached result, nor change the
+    # column heights, which are swept afresh
     boosts = [lambda p, i, k=k: bounce_boost(p, i, k) for k in range(4)]
     for n in range(1, 9):
         for p in enumerate_paths(n):
@@ -427,6 +430,41 @@ def test_scan_up_immediate_case():
     assert p.column_heights()[1] == p.bounce_points()[2]
     assert existence_scan_up(p, 1) == 1
     assert up(p, 1) == w("NENNEE")
+
+
+# -- pinned outcomes -----------------------------------------------------------------
+
+# sha256 over the outcome lines of `operator_outcomes`, computed with the
+# operators as they stood before their private cores and bisected heights
+PINNED_OPERATOR_OUTCOMES = "4577607babc00077d89c66b692b69cd72dec197de23289785f47b6db81882898"
+
+
+def operator_outcomes(max_n):
+    """One line per operator call: the result's word, "bottom", or the
+    exception's type and message.  shift, unshift, up, down and
+    bounce_boost with k = 0, 1, 2, on every path with n <= max_n, at
+    every i in 0..n+1 and at True and 1.0."""
+    ops = [shift, unshift, up, down]
+    ops += [lambda p, i, k=k: bounce_boost(p, i, k) for k in range(3)]
+    for n in range(max_n + 1):
+        for p in enumerate_paths(n):
+            for i in [*range(n + 2), True, 1.0]:
+                for op in ops:
+                    try:
+                        result = op(p, i)
+                    except Exception as exc:
+                        yield f"{type(exc).__name__}: {exc}"
+                    else:
+                        yield result.word if result is not BOTTOM else "bottom"
+
+
+def test_operator_outcomes_are_pinned():
+    # every later change to the operators must reproduce these outcomes
+    # exactly, refusals and error messages included
+    digest = hashlib.sha256()
+    for line in operator_outcomes(8):
+        digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == PINNED_OPERATOR_OUTCOMES
 
 
 # -- bottom handling -----------------------------------------------------------------

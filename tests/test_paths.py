@@ -194,6 +194,37 @@ def test_record_schema():
     }
 
 
+def record_from_methods(p):
+    return {
+        "n": p.n,
+        "word": p.word,
+        "area": p.area(),
+        "bounce": p.bounce(),
+        "alpha": list(p.bounce_composition()),
+        "bounce_points": list(p.bounce_points()),
+        "area_seq": list(p.area_sequence()),
+        "floating": p.floating_cell_count(),
+    }
+
+
+def assert_record_matches_methods(p):
+    rec = p.to_record()
+    want = record_from_methods(p)
+    assert list(rec.items()) == list(want.items()), p.word
+    assert [type(v) for v in rec.values()] == [type(v) for v in want.values()]
+
+
+def test_record_matches_methods_exhaustive():
+    for n in range(9):
+        for p in enumerate_paths(n):
+            assert_record_matches_methods(p)
+
+
+@given(dyck_paths(max_n=30))
+def test_record_matches_methods_random(p):
+    assert_record_matches_methods(p)
+
+
 # -- partitions ---------------------------------------------------------------
 
 
