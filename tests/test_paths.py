@@ -194,8 +194,10 @@ def test_record_schema():
     }
 
 
-def record_from_methods(p):
-    return {
+def assert_record_matches_methods(p):
+    # the record `to_record` builds from one sweep, against the methods
+    rec = p.to_record()
+    want = {
         "n": p.n,
         "word": p.word,
         "area": p.area(),
@@ -205,11 +207,6 @@ def record_from_methods(p):
         "area_seq": list(p.area_sequence()),
         "floating": p.floating_cell_count(),
     }
-
-
-def assert_record_matches_methods(p):
-    rec = p.to_record()
-    want = record_from_methods(p)
     assert list(rec.items()) == list(want.items()), p.word
     assert [type(v) for v in rec.values()] == [type(v) for v in want.values()]
 
