@@ -6,27 +6,25 @@ outside 1..n are usage errors (ValueError), kept distinct from the semantic
 failure BOTTOM.
 
 Each operator is one edit of the row starts x (x_r is the start of row r,
-rows 1-based) followed by at most one validity check of the result.  The
-height of column c is h_c = bisect_left(x, c), the number of rows that
-start left of c.  Where a test on the input already shows that the check
-would fail, the operator returns BOTTOM before it edits: `up` when its cut
-lifts row b_i above the diagonal, `unshift` when its moved rows would
-start above it, and `shift` when its `_shift_run` would refuse, read on
-the input before any copy.  Each such refusal is argued exact beside its
-test, and the check stays the last word on every candidate that is
-built.  Bounce points come from the memoized sweep of `paths`, read as
-a tuple; column heights are bisected only where they are needed; an
-edit in place works on a list copy.  `shift` and `up` are thin public entries: the
-BOTTOM test and the index check, then a private core on the row-start
-tuple (`_shift`, `_up`) that returns the path or BOTTOM.  Their inverses
-verify each candidate they build by running that core forward at the
-index they have already checked.  `shift` and `bounce_boost` share one
-edit, `_shift_run`: e shifts at one bounce index, their conditions
-checked up front, so the result needs no validity check.  `_boost_run`
-is the boost rule on one row-start list and its carried bounce points:
-it plans the shift runs of one boost and applies them in place.
-`bounce_boost` is one `_boost_run`, and the flip's bounce map
-(`bijection._boost`) makes one per count on a single list.
+rows 1-based) and scans a row-start tuple at most once.  The height of
+column c is h_c = bisect_left(x, c), the number of rows that start left
+of c; bounce points come from the memoized sweep of `paths`.  Where a
+test on the input shows that the result would be invalid, `up`,
+`unshift` and `shift` return BOTTOM before they edit, each refusal
+argued exact beside its test.  `shift` and `up` are the BOTTOM test and
+the index check, then a private core on the row-start tuple: `_shift`,
+whose tests imply a valid result, and `_up_edit`, the raw edit (None
+where `up` refuses before editing), which `up` checks.  The inverses
+run that core forward on the candidate they build, at the index already
+checked.  `unshift` builds its candidate unchecked, valid by
+construction (argued beside the edit); `down` checks its candidate and
+compares the raw edit with the input's row starts, since an edit equal
+to a valid tuple is valid.  So the check is the last word on every `up`
+result and `down` candidate.  `_shift_run` applies e shifts at one
+bounce index in place, the shift conditions checked up front, and
+`_boost_run` plans the shift runs of one boost on a row-start list and
+its carried bounce points.  `bounce_boost` is one `_boost_run`, and the
+flip's bounce map (`bijection._boost`) makes one per count on one list.
 
 Cell operators:
   add_area_cell(p, r)      one cell to the left of the path in row r:
@@ -38,7 +36,7 @@ Cell operators:
 
 Compound operators (i indexes bounce points):
   shift(p, i)         moves the i-th bounce point down one; area fixed,
-                      bounce + 1; one `_shift_run` of length 1
+                      bounce + 1; `_shift_run`'s rule at e = 1
   unshift(p, i)       exact inverse of shift
   bounce_boost(p, i, k)  composition of shifts raising bounce by exactly k,
                       one `_boost_run`
@@ -155,11 +153,9 @@ def remove_column_cell(path, col):
 
 
 def shift(path, i):
-    """Trade the cells of row b_i for cells of column b_i: a `_shift_run`
-    of length 1.  BOTTOM when i >= m or the run fails; otherwise area is
-    unchanged, bounce grows by one, and only b_i moves (down by one).  The
-    run's conditions are read off the input tuples first, so a refused
-    shift copies nothing."""
+    """Trade the cells of row b_i for cells of column b_i: `_shift_run`'s
+    rule at e = 1.  BOTTOM when i >= m or the run fails; otherwise area is
+    unchanged, bounce grows by one, and only b_i moves (down by one)."""
     if path is BOTTOM:
         return BOTTOM
     _check_index(path, i, "bounce index")
@@ -172,15 +168,16 @@ def _shift(x, i):
     b = _bounce_points(x)
     if i >= len(b) - 1:
         return BOTTOM
-    # `_shift_run`'s conditions at e = 1, on the unedited input: its
-    # window test is void there, since no row starts in (c - 1, c).
-    p, c = b[i - 1], b[i]
-    s = b[i + 1] - bisect_left(x, c)
+    # `_shift_run`'s conditions and edit at e = 1, where its window test
+    # is void (no row starts in (c - 1, c)); c <= lo, as rows 1..c start
+    # left of c.
+    p, c, nxt = b[i - 1], b[i], b[i + 1]
+    lo = bisect_left(x, c)
+    s = nxt - lo
     t = p + s
     if s < 1 or t > c - 1 or t > x[c] or x[c - 1] != p:
         return BOTTOM
-    y = list(x)
-    return _path(tuple(y)) if _shift_run(y, list(b), i, 1) else BOTTOM
+    return _path(x[: c - 1] + (t,) + x[c:lo] + (c - 1,) * s + x[nxt:])
 
 
 def unshift(path, i):
@@ -192,8 +189,8 @@ def unshift(path, i):
     start c + 1; it is verified by applying shift's core, `_shift`,
     forward at the index already checked.  The candidate is not built
     when s >= b_{i+1} - c: its first moved row would then be row c + 1 or
-    lower and start above the diagonal, which the validity check refuses
-    anyway.
+    lower and start above the diagonal.  A candidate that is built is
+    valid by construction, so the forward `_shift` is its one test.
     """
     if path is BOTTOM:
         return BOTTOM
@@ -207,17 +204,17 @@ def unshift(path, i):
     if not (x[c - 1] <= b[i - 1] <= x[c]):
         return BOTTOM
     s = x[c] - b[i - 1]
-    # Rows b_{i+1} - s + 1 .. b_{i+1} of the candidate start at c + 1
-    # (they exist: s <= x_{c+1} <= c < b_{i+1}).  That is above the
-    # diagonal unless the first of them is row c + 2 or higher, so
-    # `_checked` would refuse every candidate with s >= b_{i+1} - c.
-    if s < 1 or s >= b[i + 1] - c:
+    # The s moved rows t + 1 .. b_{i+1} start at c + 1 (they exist:
+    # s <= x_{c+1} <= c < b_{i+1}), above the diagonal unless t > c.  When
+    # t > c the candidate is valid: row c + 1 starts at b_{i-1} <= c, at
+    # or right of x_c and at or left of x_{c+1}, so of row c + 2 moved or
+    # not; every row up to b_{i+1} starts at or left of c, every row after
+    # it right of c (b_{i+1} = bisect_right(x, c)).
+    t = b[i + 1] - s
+    if s < 1 or t <= c:
         return BOTTOM
-    y = list(x)
-    y[c] = b[i - 1]
-    y[b[i + 1] - s : b[i + 1]] = [c + 1] * s
-    candidate = _checked(y)
-    if candidate is BOTTOM or _shift(candidate._x, i) != path:
+    candidate = _path(x[:c] + (b[i - 1],) + x[c + 1 : t] + (c + 1,) * s + x[b[i + 1] :])
+    if _shift(candidate._x, i) != path:
         return BOTTOM
     return candidate
 
@@ -316,34 +313,35 @@ def up(path, i):
     if path is BOTTOM:
         return BOTTOM
     _check_index(path, i, "bounce index")
-    return _up(path._x, i)
+    edit = _up_edit(path._x, i)
+    return BOTTOM if edit is None else _checked(edit)
 
 
-def _up(x, i):
-    """`up` on the row starts ``x`` of a path at a bounce index ``i``
-    already checked against its length: the path or BOTTOM.  The column
-    heights it reads, h_c = bisect_left(x, c), are those of columns
-    b_{i-1}, b_i and cut and of the u columns below cut that beta reads."""
+def _up_edit(x, i):
+    """`up`'s edit of the row starts ``x`` of a path at a bounce index
+    ``i`` already checked against its length, unchecked, or None where
+    `up` refuses before it edits.  It reads the heights h_c =
+    bisect_left(x, c) of columns b_{i-1}, b_i, cut and the u beta reads."""
     b = _bounce_points(x)
     m = len(b) - 1
     if i > m:
-        return BOTTOM
+        return None
     p, c = b[i - 1], b[i]
     if i >= 2 and bisect_left(x, p) == c:
-        return BOTTOM
+        return None
     u = 0 if i == m else b[i + 1] - bisect_left(x, c)
     cut = p + u + 1
     if cut > len(x):
-        return BOTTOM
+        return None
     top = bisect_left(x, cut)
     # Row b_i starts at or left of b_{i-1} < cut, so when it is one of the
     # rows b_i .. h(cut) the cut raises it to start at cut.  The beta edit
     # reaches rows b_{i+1} - u + 1 .. b_{i+1}, all above b_i since
     # u <= b_{i+1} - b_i (column b_i has at least b_i rows left of it).  So
     # row b_i ends at cut, above the diagonal exactly when cut >= b_i, and
-    # `_checked` would refuse the candidate.
+    # `_checked` would refuse the edit.
     if cut >= c and top >= c:
-        return BOTTOM
+        return None
     y = list(x)
     # Rows 1 .. h(cut) are the rows that start left of cut, so every one
     # of rows b_i .. h(cut) is raised to cut.
@@ -351,16 +349,16 @@ def _up(x, i):
     # Row b_{i+1} - u + j loses beta_j = h(cut + 1 - j) - b_i + 1 cells.
     for j in range(u):
         y[b[i + 1] - u + j] -= bisect_left(x, cut - j) - c + 1
-    return _checked(y)
+    return tuple(y)
 
 
 def down(path, i):
     """Inverse of up; BOTTOM when no valid preimage exists.
 
     Rebuilds the unique candidate preimage (un-extend the rows below
-    b_{i+1}, restore the cut columns at the corner) and verifies it by
-    applying up's core, `_up`, forward at the index already checked, so
-    up/down are mutually inverse by construction.
+    b_{i+1}, restore the cut columns at the corner), checks it, and
+    accepts it only when up's raw edit, `_up_edit`, maps it to the input's
+    row starts, so up/down are mutually inverse by construction.
     """
     if path is BOTTOM:
         return BOTTOM
@@ -377,10 +375,9 @@ def down(path, i):
         return BOTTOM
     xp = list(x)
     beta = []
+    # rows b_{i+1} - u + 1 .. b_{i+1}, all in 3..n, as u < c < b_{i+1}
     for j in range(1, u + 1):
         r = b[i + 1] - u + j
-        if r < 1 or r > n:
-            return BOTTOM
         amount = (c + 1) - x[r - 1]
         if amount < 1:
             return BOTTOM
@@ -394,7 +391,7 @@ def down(path, i):
         t = r - (c + 1)
         xp[r - 1] = b[i - 1] + 1 + sum(1 for v in beta if v <= t)
     candidate = _checked(xp)
-    if candidate is BOTTOM or _up(candidate._x, i) != path:
+    if candidate is BOTTOM or _up_edit(candidate._x, i) != x:
         return BOTTOM
     return candidate
 

@@ -78,7 +78,8 @@ class DyckPath:
 
     @classmethod
     def from_word(cls, word: str) -> "DyckPath":
-        """Parse a step word over {N, E}.
+        """Parse a step word over {N, E}, case and surrounding blanks
+        ignored; the path keeps the normalized word as its `word`.
 
         Rejects unbalanced words and words dipping below the diagonal,
         reporting the 1-based position of the first offending step.
@@ -105,8 +106,9 @@ class DyckPath:
             )
         # Valid row starts by the parse: x only grows, since the east
         # count never falls, and at the r-th N the r - 1 norths before it
-        # bound the easts (the dip test above), so x_r <= r - 1.
-        return _path(tuple(x))
+        # bound the easts (the dip test above), so x_r <= r - 1.  Every
+        # step parsed as N or E, so the word is the one x would rebuild.
+        return _path(tuple(x), word)
 
     @classmethod
     def from_row_starts(cls, x) -> "DyckPath":
@@ -344,11 +346,12 @@ def _row_starts_ok(x):
     return True, None
 
 
-def _path(x) -> DyckPath:
-    """The path with row starts ``x``, a tuple already known to be valid."""
+def _path(x, word=None) -> DyckPath:
+    """The path with row starts ``x``, a tuple already known to be valid,
+    and ``word``, its step word if known."""
     p = DyckPath.__new__(DyckPath)
     p._x = x
-    p._word = None
+    p._word = word
     return p
 
 

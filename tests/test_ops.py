@@ -3,6 +3,8 @@ import hashlib
 import pytest
 from hypothesis import given, settings
 
+from dyckab import ops as ops_module
+from dyckab import paths as paths_module
 from dyckab.paths import DyckPath, enumerate_paths
 from dyckab.ops import (
     BOTTOM,
@@ -411,6 +413,71 @@ def test_operator_graph_counts_exhaustive():
                 sum(op(p, i) is not BOTTOM for p in paths for i in range(1, n + 1))
             )
     assert counts == OPERATOR_GRAPH_COUNTS
+
+
+# -- inverses against preimage maps ------------------------------------------------
+
+
+def preimages(forward, paths):
+    """{(forward(p, i), i): p} over ``paths`` and every i in 1..n,
+    asserting that no two paths share an image at one i."""
+    found = {}
+    for p in paths:
+        for i in range(1, p.n + 1):
+            q = forward(p, i)
+            if q is not BOTTOM:
+                assert found.setdefault((q, i), p) == p, (forward.__name__, q.word, i)
+    return found
+
+
+def test_inverses_return_exactly_the_preimage_exhaustive():
+    # the reference is built from the forward operators alone: each
+    # inverse gives the preimage where one exists and BOTTOM elsewhere
+    for n in range(1, 10):
+        paths = list(enumerate_paths(n))
+        for forward, inverse in ((shift, unshift), (up, down)):
+            found = preimages(forward, paths)
+            for q in paths:
+                for i in range(1, n + 1):
+                    assert inverse(q, i) == found.get((q, i), BOTTOM), (
+                        inverse.__name__, q.word, i,
+                    )
+
+
+@given(dyck_paths(max_n=30))
+@settings(max_examples=100, deadline=None)
+def test_inverse_results_are_valid_preimages_random(q):
+    # `unshift` builds its candidates unchecked and `down` compares a raw
+    # edit: every result must still pass the constructor's check
+    for i in range(1, q.n + 1):
+        for forward, inverse in ((shift, unshift), (up, down)):
+            p = inverse(q, i)
+            if p is not BOTTOM:
+                assert DyckPath(p.row_starts) == p
+                assert forward(p, i) == q
+
+
+def test_each_operator_call_scans_row_starts_at_most_once(monkeypatch):
+    # shift and unshift build valid paths by construction; up checks its
+    # edit and down its candidate, once
+    scans = 0
+    scan = ops_module._row_starts_ok
+
+    def counted(x):
+        nonlocal scans
+        scans += 1
+        return scan(x)
+
+    monkeypatch.setattr(ops_module, "_row_starts_ok", counted)
+    monkeypatch.setattr(paths_module, "_row_starts_ok", counted)
+    limits = {shift: 0, unshift: 0, up: 1, down: 1}
+    for n in range(1, 8):
+        for p in list(enumerate_paths(n)):
+            for i in range(1, n + 1):
+                for op, limit in limits.items():
+                    scans = 0
+                    op(p, i)
+                    assert scans <= limit, (op.__name__, p.word, i, scans)
 
 
 # -- existence scans -----------------------------------------------------------------

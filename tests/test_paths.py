@@ -79,7 +79,18 @@ def test_from_word_round_trips_or_raises(word):
         p = DyckPath.from_word(word)
     except ValueError:
         return
-    assert p.word == word.strip().upper()
+    # the path keeps the word it parsed, so the round trip through the
+    # row starts is read off a path built from them
+    assert p.word == DyckPath(p.row_starts).word == word.strip().upper()
+
+
+def test_from_word_keeps_the_normalized_word():
+    assert DyckPath.from_word(" nNeE\n").word == "NNEE"
+    for n in range(9):
+        for p in enumerate_paths(n):
+            parsed = DyckPath.from_word(p.word.lower())
+            assert parsed == p
+            assert parsed.word == DyckPath(p.row_starts).word == p.to_record()["word"]
 
 
 def test_from_word_rejects_bad_letter():
