@@ -320,8 +320,8 @@ def up(path, i):
 def _up_edit(x, i):
     """`up`'s edit of the row starts ``x`` of a path at a bounce index
     ``i`` already checked against its length, unchecked, or None where
-    `up` refuses before it edits.  It reads the heights h_c =
-    bisect_left(x, c) of columns b_{i-1}, b_i, cut and the u beta reads."""
+    `up` refuses before it edits.  It bisects x for the heights of columns
+    b_{i-1}, b_i and cut and of the u columns that beta reads."""
     b = _bounce_points(x)
     m = len(b) - 1
     if i > m:
