@@ -8,11 +8,11 @@ row map of lam on one side and through the bounce map of the conjugate
 lam' on the other, produces a pair of paths whose area and bounce
 statistics are exchanged.  Two edits of a start path build every side:
 `_stack` stacks area cells in rows, `_boost` boosts bounce points.  Each
-is one edit of one row-start list: `_boost` makes one `ops._boost_run` per
-count on a single list and its carried bounce points, so it sweeps the
-bounce points once and builds one path.  Both, like every decode, read
-one cached layout per partition (`_layout`): its conjugate, block widths,
-index -> bounce point and index -> row tables, and its block path.
+builds one path; `_boost` makes one `ops._boost_run`, a sequence of unit
+shifts, per count, carrying one list of bounce points, so it sweeps them
+once.  Both, like every decode, read one cached layout per partition
+(`_layout`): its conjugate, block widths, index -> bounce point and
+index -> row tables, and its block path.
 
 A certificate (lam, f) is valid when f is supported on the bounce index
 set of lam', each block of values is weakly decreasing and strictly
@@ -219,21 +219,22 @@ def _stack(path, lam, count_map):
 def _boost(path, lam, count_map):
     """Boost bounce point bounce_map(lam, i, r) of ``path`` by
     count_map(i, r), indices ordered by i then r: the chain of
-    `ops.bounce_boost` calls, as one `_boost_run` per nonzero count on one
-    row-start list whose bounce points are carried along."""
+    `ops.bounce_boost` calls, as one `_boost_run` per nonzero count with
+    one list of bounce points carried along."""
     if path is BOTTOM:
         return BOTTOM
     layout = _layout(lam)
-    x = list(path.row_starts)
-    b = list(_bounce_points(path.row_starts))
+    x = path.row_starts
+    b = list(_bounce_points(x))
     for (i, r) in sorted(count_map):
         k = count_map[(i, r)]
         if k:
             point = _point(layout, lam, i, r)
             _check_amount(k)
-            if not _boost_run(x, b, point, k):
+            x = _boost_run(x, b, point, k)
+            if x is None:
                 return BOTTOM
-    return _path(tuple(x))
+    return _path(x)
 
 
 def apply_area_map(lam, count_map):

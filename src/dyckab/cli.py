@@ -62,6 +62,15 @@ def render(path, show_bounce=False, show_floating=False) -> str:
 
 _OP_TOKEN = re.compile(r"^([ACSUDB])(\d+)(?::(\d+))?(?:\^(-?\d+))?$")
 
+# Operator letter -> (forward, inverse); B, the boost, has no inverse.
+_OPERATORS = {
+    "A": (add_area_cell, remove_area_cell),
+    "C": (add_column_cell, remove_column_cell),
+    "S": (shift, unshift),
+    "U": (up, down),
+    "D": (down, up),
+}
+
 
 def apply_operator_string(path, spec: str):
     """Apply a comma-separated operator word left to right.
@@ -89,20 +98,7 @@ def apply_operator_string(path, spec: str):
         else:
             if boost is not None:
                 raise ValueError(f"only B tokens take ':k': {token!r}")
-            forward = {
-                "A": add_area_cell,
-                "C": add_column_cell,
-                "S": shift,
-                "U": up,
-                "D": down,
-            }[letter]
-            inverse = {
-                "A": remove_area_cell,
-                "C": remove_column_cell,
-                "S": unshift,
-                "U": down,
-                "D": up,
-            }[letter]
+            forward, inverse = _OPERATORS[letter]
             fn = forward if power > 0 else inverse
             for _ in range(abs(power)):
                 cur = fn(cur, idx)
@@ -111,10 +107,6 @@ def apply_operator_string(path, spec: str):
         if cur is BOTTOM:
             return BOTTOM
     return cur
-
-
-def _parse_path(word):
-    return DyckPath.from_word(word)
 
 
 def _print_path_or_bottom(result):
@@ -216,7 +208,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "stats":
-        record = _parse_path(args.path).to_record()
+        record = DyckPath.from_word(args.path).to_record()
         for key in (
             "n", "word", "area", "bounce", "alpha",
             "bounce_points", "area_seq", "floating",
@@ -225,22 +217,22 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "render":
-        print(render(_parse_path(args.path), args.bounce, args.floating))
+        print(render(DyckPath.from_word(args.path), args.bounce, args.floating))
         return 0
 
     if args.command == "op":
-        result = apply_operator_string(_parse_path(args.path), args.apply)
+        result = apply_operator_string(DyckPath.from_word(args.path), args.apply)
         _print_path_or_bottom(result)
         return 0
 
     if args.command == "phi":
-        path = _parse_path(args.path)
+        path = DyckPath.from_word(args.path)
         image = bijection.phi_inverse(path) if args.inverse else bijection.phi(path)
         print(image.word)
         return 0
 
     if args.command == "classify":
-        cls = bijection.classify(_parse_path(args.path))
+        cls = bijection.classify(DyckPath.from_word(args.path))
         print(f"kind: {cls.kind}")
         if cls.area_certificate:
             print(f"area-side certificate: {_cert_json(cls.area_certificate)}")
@@ -249,7 +241,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "gamma":
-        path = _parse_path(args.path)
+        path = DyckPath.from_word(args.path)
         image = (
             bijection.gamma_inverse(path) if args.inverse else bijection.gamma(path)
         )

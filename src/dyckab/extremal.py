@@ -200,7 +200,7 @@ def satisfies_bounce_minimal_conditions(path) -> bool:
         return False
     if len(alpha) >= 2:
         slack = min(alpha[i] - alpha[i + 1] - 1 for i in range(len(alpha) - 1))
-        if path.area() > path.bounce_path().area() + slack:
+        if path.floating_cell_count() > slack:
             return False
     return True
 

@@ -20,11 +20,11 @@ checked.  `unshift` builds its candidate unchecked, valid by
 construction (argued beside the edit); `down` checks its candidate and
 compares the raw edit with the input's row starts, since an edit equal
 to a valid tuple is valid.  So the check is the last word on every `up`
-result and `down` candidate.  `_shift_run` applies e shifts at one
-bounce index in place, the shift conditions checked up front, and
-`_boost_run` plans the shift runs of one boost on a row-start list and
-its carried bounce points.  `bounce_boost` is one `_boost_run`, and the
-flip's bounce map (`bijection._boost`) makes one per count on one list.
+result and `down` candidate.  `_shift_run`, the one shift rule, maps a
+row-start tuple and its bounce points to the row starts after one shift
+or None, and edits neither.  `_shift` is one call of it; a boost is a
+sequence of such unit shifts, planned and applied by `_boost_run`, and
+the flip's bounce map (`bijection._boost`) makes one per count.
 
 Cell operators:
   add_area_cell(p, r)      one cell to the left of the path in row r:
@@ -36,10 +36,10 @@ Cell operators:
 
 Compound operators (i indexes bounce points):
   shift(p, i)         moves the i-th bounce point down one; area fixed,
-                      bounce + 1; `_shift_run`'s rule at e = 1
+                      bounce + 1; one `_shift_run`
   unshift(p, i)       exact inverse of shift
-  bounce_boost(p, i, k)  composition of shifts raising bounce by exactly k,
-                      one `_boost_run`
+  bounce_boost(p, i, k)  k shifts raising bounce by exactly k, one
+                      `_boost_run`
   up(p, i)            area - 1, bounce + 1 (region move at bounce corner i)
   down(p, i)          exact inverse of up
 """
@@ -153,9 +153,9 @@ def remove_column_cell(path, col):
 
 
 def shift(path, i):
-    """Trade the cells of row b_i for cells of column b_i: `_shift_run`'s
-    rule at e = 1.  BOTTOM when i >= m or the run fails; otherwise area is
-    unchanged, bounce grows by one, and only b_i moves (down by one)."""
+    """Trade the cells of row b_i for cells of column b_i: one
+    `_shift_run`.  BOTTOM when i >= m or the shift fails; otherwise area
+    is unchanged, bounce grows by one, and only b_i moves (down by one)."""
     if path is BOTTOM:
         return BOTTOM
     _check_index(path, i, "bounce index")
@@ -166,18 +166,8 @@ def _shift(x, i):
     """`shift` on the row starts ``x`` of a path at a bounce index ``i``
     already checked against its length: the path or BOTTOM."""
     b = _bounce_points(x)
-    if i >= len(b) - 1:
-        return BOTTOM
-    # `_shift_run`'s conditions and edit at e = 1, where its window test
-    # is void (no row starts in (c - 1, c)); c <= lo, as rows 1..c start
-    # left of c.
-    p, c, nxt = b[i - 1], b[i], b[i + 1]
-    lo = bisect_left(x, c)
-    s = nxt - lo
-    t = p + s
-    if s < 1 or t > c - 1 or t > x[c] or x[c - 1] != p:
-        return BOTTOM
-    return _path(x[: c - 1] + (t,) + x[c:lo] + (c - 1,) * s + x[nxt:])
+    y = _shift_run(x, b, i) if i < len(b) - 1 else None
+    return BOTTOM if y is None else _path(y)
 
 
 def unshift(path, i):
@@ -235,24 +225,25 @@ def bounce_boost(path, i, k):
     _check_amount(k)
     if k == 0:
         return path
-    x = list(path.row_starts)
-    b = list(_bounce_points(path.row_starts))
-    return _path(tuple(x)) if _boost_run(x, b, i, k) else BOTTOM
+    x = _boost_run(path._x, list(_bounce_points(path._x)), i, k)
+    return BOTTOM if x is None else _path(x)
 
 
-def _boost_run(x, b, i, k) -> bool:
-    """Raise the bounce of row starts ``x`` by k >= 1 through shifts at
-    i, i+1, ..., in place, with ``b`` the bounce points of ``x``, carried
-    along; False when the boost is BOTTOM, x and b then partly edited.
+def _boost_run(x, b, i, k):
+    """The row starts after raising the bounce of row starts ``x`` by
+    k >= 1 through shifts at i, i+1, ..., or None when the boost is
+    BOTTOM.  ``b`` is a list of the bounce points of ``x``; it is lowered
+    in place to follow the shifts, so it holds the bounce points of the
+    result (callers drop it on None).
 
     The plan reads the bounce composition before the boost: the block at
     idx absorbs up to max(0, alpha_i - alpha_idx) shifts, spent greedily
-    left to right; each plan step is one `_shift_run`, which moves only
-    b_idx, so ``b`` stays the bounce points of ``x`` throughout.
+    left to right.  A step of e shifts at idx is e unit `_shift_run`
+    calls, each of which moves only b_idx, down by one.
     """
     length = len(b) - 1
     if i >= length:
-        return False
+        return None
     alpha_i = b[i] - b[i - 1]
     remaining = k
     plan = []
@@ -264,36 +255,37 @@ def _boost_run(x, b, i, k) -> bool:
             if remaining == 0:
                 break
     if remaining > 0:
-        return False
-    return all(_shift_run(x, b, idx, e) for idx, e in plan)
+        return None
+    for idx, e in plan:
+        for _ in range(e):
+            x = _shift_run(x, b, idx)
+            if x is None:
+                return None
+            b[idx] -= 1
+    return x
 
 
-def _shift_run(x, b, i, e) -> bool:
-    """Apply e shifts at bounce index i to row starts ``x`` and bounce
-    points ``b`` as one edit, in place; False when any of them is BOTTOM.
+def _shift_run(x, b, i):
+    """The row starts after one shift at bounce index i < m of the row
+    starts ``x`` (a tuple) with bounce points ``b``, or None when the
+    shift is BOTTOM; neither argument is edited.
 
-    Let p = b_{i-1}, c = b_i and s the number of rows that start at c.
-    Each shift needs its row b_i to start at p; it moves the rows that
-    start at b_i one column left and gives row b_i the start p + s, which
-    may not exceed the start of the row above it.  The count at b_i stays
-    s through the run exactly when no row starts in (c - e, c).  So the
-    run succeeds iff s >= 1, rows c - e + 1 .. c start at p, no row starts
-    in (c - e, c) and p + s <= min(c - e, x_{c+1}).  Then rows
-    c - e + 1 .. c start at p + s, the s rows start at c - e, and
-    b_i = c - e.
+    Let p = b_{i-1}, c = b_i and s the number of rows that start at c,
+    rows lo + 1 .. b_{i+1} (c <= lo, as rows 1..c start left of c).  The
+    shift moves those s rows one column left, to c - 1, and gives row c
+    the start t = p + s.  It succeeds iff s >= 1, row c starts at p and
+    t <= min(c - 1, x_{c+1}): then row c starts at or right of row c - 1
+    (which starts at or left of p), at or left of row c + 1 and of the
+    diagonal, and the moved rows keep their order, so the result is a
+    path, with b_i = c - 1 its only moved bounce point.
     """
     p, c, nxt = b[i - 1], b[i], b[i + 1]
     lo = bisect_left(x, c)
     s = nxt - lo
     t = p + s
-    if s < 1 or t > c - e or t > x[c] or x[c - e] != p:
-        return False
-    if bisect_left(x, c - e + 1) != lo:
-        return False
-    x[c - e : c] = [t] * e
-    x[lo:nxt] = [c - e] * s
-    b[i] = c - e
-    return True
+    if s < 1 or t > c - 1 or t > x[c] or x[c - 1] != p:
+        return None
+    return x[: c - 1] + (t,) + x[c:lo] + (c - 1,) * s + x[nxt:]
 
 
 # -- up/down family ---------------------------------------------------------

@@ -204,7 +204,10 @@ def check_shape_lemmas(sizes):
     area >= bounce; classes refusing every up consist of minimal gapless
     paths ending in a part 1 and have area <= bounce."""
     for n in sizes:
-        for (area, alpha), members in extremal._class_index(n).items():
+        classes = {}
+        for p in paths.enumerate_paths(n):
+            classes.setdefault((p.area(), p.bounce_composition()), []).append(p)
+        for (area, alpha), members in classes.items():
             bounce = members[0].bounce()
             no_down = not any(
                 ops.down(t, j) is not BOTTOM
@@ -225,7 +228,6 @@ def check_shape_lemmas(sizes):
                 if area < bounce:
                     return {"n": n, "alpha": alpha, "lemma": "no-down a>=b"}
             if no_up:
-                p = members[0]
                 ok = (
                     all(t.is_minimal() for t in members)
                     and alpha[-1] == 1

@@ -1,7 +1,8 @@
 """The benchmark's tracer (perfbench/tracer.py) names library functions
-and DyckPath methods directly, and its workloads (perfbench/workloads.py)
-expect a fixed number of checks; removing or renaming one, or changing
-that number, must fail here, not in a benchmark run."""
+and DyckPath methods directly, its workloads (perfbench/workloads.py)
+expect a fixed number of checks, and BENCHMARK.json names per-layer
+metrics that the tracer's counters must yield; removing or renaming one,
+or changing that number, must fail here, not in a benchmark run."""
 
 import contextlib
 import io
@@ -14,6 +15,7 @@ from dyckab import bijection, cli, extremal, oracle, ops, paths, qbell
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
 
 import reference  # noqa: E402
+import run  # noqa: E402
 import workloads  # noqa: E402
 from tracer import Tracer  # noqa: E402
 from workclock import WorkClock  # noqa: E402
@@ -72,6 +74,26 @@ def test_tables_workload_runs_untraced_and_traced():
     finally:
         tracer.uninstall()
     assert tracer.report()["counters"]["extremal.level_sets.misses"] >= 1
+
+
+def test_every_declared_per_layer_metric_is_reported():
+    # a per-layer name of BENCHMARK.json missing from `run.per_layer`'s
+    # result (say, an uncached or removed memo whose hit counters it
+    # names) breaks the result line of a traced benchmark run
+    declared = [metric["name"] for metric in run.spec()["per_layer"]]
+    for workload in run.WORKLOADS:
+        job, _ = run.make_inputs(workload, 1, "tiny")
+        job["workload"] = workload
+        tracer = Tracer()
+        tracer.install()
+        try:
+            result = workloads.run(job, tracer, WorkClock(calibrate=False))
+        finally:
+            tracer.uninstall()
+        assert result["failed"] == 0, result["failures"]
+        result["trace"] = tracer.report()
+        metrics = run.per_layer([result], [result])
+        assert [name for name in declared if name not in metrics] == [], workload
 
 
 def test_tracer_installs_counts_and_uninstalls():

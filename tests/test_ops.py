@@ -480,6 +480,31 @@ def test_each_operator_call_scans_row_starts_at_most_once(monkeypatch):
                     assert scans <= limit, (op.__name__, p.word, i, scans)
 
 
+def test_shift_and_every_boost_unit_go_through_one_shift_rule(monkeypatch):
+    # shift is one call of the pure single-shift edit, and a boost of k is
+    # k calls of it, one per unit, whatever its plan
+    calls = 0
+    rule = ops_module._shift_run
+
+    def counted(x, b, i):
+        nonlocal calls
+        calls += 1
+        return rule(x, b, i)
+
+    monkeypatch.setattr(ops_module, "_shift_run", counted)
+    for n in range(1, 8):
+        for p in enumerate_paths(n):
+            m = bounce_index_count(p)
+            for i in range(1, n + 1):
+                calls = 0
+                shift(p, i)
+                assert calls == (i < m), (p.word, i, calls)
+                for k in range(boost_capacity(p, i) + 1):
+                    calls = 0
+                    if bounce_boost(p, i, k) is not BOTTOM:
+                        assert calls == k, (p.word, i, k, calls)
+
+
 # -- existence scans -----------------------------------------------------------------
 
 
