@@ -18,7 +18,14 @@ A certificate (lam, f) is valid when f is supported on the bounce index
 set of lam', each block of values is weakly decreasing and strictly
 bounded by the matching distinct part of lam, and the bounce-side image is
 a minimal path.  One rule, `_certified_image`, checks all of this and
-returns that image (None when the pair is no certificate).  The flip map
+returns that image (None when the pair is no certificate).  A flip round
+trip decodes one pair three times (`classify`, the map, the inverse on
+its image), so the rule keeps a memo of 256 images keyed by the
+certificate the pair would be, `Certificate.make`'s canonical form, and
+builds each image once.  That key is exact for plain count maps, dicts
+from pairs of plain ints to plain ints, since the rule reads them
+through their nonzero entries in sorted order; any other map runs the
+rule uncached.  The flip map
 sends the area-side path of a certificate to its bounce-side path, which
 the area-side decode already built; `classify` decides membership of an
 arbitrary path and returns certificates.  Its bounce-side decode refuses
@@ -260,11 +267,54 @@ def _certified_image(lam, count_map):
 
     lam must already be known to be a partition: the callers test it
     (`is_certificate`, `extended_pair_valid`) or built it as one (the two
-    decoders).  count_map must be supported on the bounce index set of
-    lam', with nonnegative values, weakly decreasing in each block and the
-    first below the matching distinct part of lam; the image, built once,
-    must be a minimal path.
+    decoders).  A plain count map (`_plain`) is answered from
+    `_memo_image`, which holds the 256 images last used, keyed by the
+    certificate the pair would be.  The rule reads a plain map only
+    through its nonzero entries, in sorted order, so that key is exact.
+    Any other map runs the rule uncached (`_rule`): a value 4.0 or True,
+    or an index (1.0, 1), equals an int twin as a key, yet the rule raises
+    on it.
     """
+    if _plain(count_map):
+        return _memo_image(Certificate.make(lam, count_map))
+    return _rule(lam, count_map)
+
+
+def _plain(count_map) -> bool:
+    """Whether count_map is a dict from pairs of plain ints to plain ints
+    (no bool, float or subclass anywhere)."""
+    return type(count_map) is dict and all(
+        type(v) is int
+        and type(index) is tuple
+        and len(index) == 2
+        and type(index[0]) is int
+        and type(index[1]) is int
+        for index, v in count_map.items()
+    )
+
+
+# Bounded, since callers may decode any number of pairs (about 0.7 KB an
+# entry at n = 12..24: the key, the image and its row starts; 0.18 MB
+# full).  A flip round trip decodes one pair three times (`classify`, the
+# map, the inverse on its image), so it needs its entry for a few calls
+# only: the benchmark's 8,000 seed 1 queries build 682 images here, 678
+# with no bound and 2,041 uncached.  256 also keeps repeats across the
+# checks of `verify --suite all --n 10`, which builds 4,582 images here,
+# 5,314 at 64 entries and 7,609 uncached.  The value is an immutable
+# path or None.
+@lru_cache(maxsize=256)
+def _memo_image(cert: Certificate):
+    """`_rule` on the plain count map whose canonical certificate is
+    ``cert``: zeros, wherever they sat, and the dict's order change
+    nothing the rule reads."""
+    return _rule(cert.partition, cert.count_map)
+
+
+def _rule(lam, count_map):
+    """The certificate rule, uncached: count_map must be supported on the
+    bounce index set of lam', with nonnegative values, weakly decreasing
+    in each block and the first below the matching distinct part of lam;
+    the image, built once, must be a minimal path."""
     if any(v < 0 for v in count_map.values()):
         return None
     layout = _layout(lam)
@@ -300,7 +350,9 @@ def _certified(n: int) -> tuple:
     certificate with |lam| = n, built once per n: partitions of n, then
     per block the weakly decreasing values below its bound, largest first,
     earlier blocks outermost.  These maps meet the rule's bounds by
-    construction, so only the image is checked."""
+    construction, so only the image is checked, by `_minimal_image`
+    directly: the stream is cached per n, and passing it through the
+    rule's memo would only evict the entries of round trips."""
     out = []
     for lam in partitions(n):
         layout = _layout(lam)

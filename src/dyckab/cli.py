@@ -13,19 +13,8 @@ import json
 import re
 import sys
 
-from . import bijection, extremal, oracle, qbell
-from .ops import (
-    BOTTOM,
-    add_area_cell,
-    add_column_cell,
-    bounce_boost,
-    down,
-    remove_area_cell,
-    remove_column_cell,
-    shift,
-    unshift,
-    up,
-)
+from . import bijection, extremal, ops, oracle, qbell
+from .ops import BOTTOM
 from .paths import DyckPath, enumerate_paths
 
 # Largest semilength `minimal` and `construct` accept: both read the level
@@ -62,13 +51,15 @@ def render(path, show_bounce=False, show_floating=False) -> str:
 
 _OP_TOKEN = re.compile(r"^([ACSUDB])(\d+)(?::(\d+))?(?:\^(-?\d+))?$")
 
-# Operator letter -> (forward, inverse); B, the boost, has no inverse.
+# Operator letter -> names of (forward, inverse) in `ops`, looked up at
+# call time so that a rebound module name (a tracer's wrapper) is the one
+# called; B, the boost, has no inverse.
 _OPERATORS = {
-    "A": (add_area_cell, remove_area_cell),
-    "C": (add_column_cell, remove_column_cell),
-    "S": (shift, unshift),
-    "U": (up, down),
-    "D": (down, up),
+    "A": ("add_area_cell", "remove_area_cell"),
+    "C": ("add_column_cell", "remove_column_cell"),
+    "S": ("shift", "unshift"),
+    "U": ("up", "down"),
+    "D": ("down", "up"),
 }
 
 
@@ -94,12 +85,12 @@ def apply_operator_string(path, spec: str):
                 raise ValueError(f"B token needs a boost amount: {token!r}")
             if power != 1:
                 raise ValueError(f"B token takes no power: {token!r}")
-            cur = bounce_boost(cur, idx, int(boost))
+            cur = ops.bounce_boost(cur, idx, int(boost))
         else:
             if boost is not None:
                 raise ValueError(f"only B tokens take ':k': {token!r}")
             forward, inverse = _OPERATORS[letter]
-            fn = forward if power > 0 else inverse
+            fn = getattr(ops, forward if power > 0 else inverse)
             for _ in range(abs(power)):
                 cur = fn(cur, idx)
                 if cur is BOTTOM:

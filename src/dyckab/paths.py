@@ -554,8 +554,10 @@ def partitions(n: int) -> Iterator[tuple]:
 
 
 def is_partition(parts) -> bool:
+    """Weakly decreasing parts, each a plain int (not a bool or a float,
+    which equal an int and would share its cached layout) of at least 1."""
     parts = tuple(parts)
-    return all(p >= 1 for p in parts) and all(
+    return all(type(p) is int and p >= 1 for p in parts) and all(
         parts[i] >= parts[i + 1] for i in range(len(parts) - 1)
     )
 

@@ -141,3 +141,19 @@ def test_tracer_installs_counts_and_uninstalls():
     assert counters["paths.enumerated"] >= 14
     assert report["inclusive_s"]["bijection.flip_sets_s"] > 0
     assert [getattr(module, name) for module, name in bound] == originals
+
+
+def test_traced_op_verb_counts_its_operators():
+    # `dyckab op` looks its operators up in `ops` at call time, so the
+    # tracer's rebound names are the ones it calls
+    out = io.StringIO()
+    tracer = Tracer()
+    tracer.install()
+    try:
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["op", "--path", "NNEENE", "--apply", "S1,S1^-1"]) == 0
+    finally:
+        tracer.uninstall()
+    assert out.getvalue().strip() == "NNEENE"
+    counters = tracer.report()["counters"]
+    assert (counters["ops.shift.calls"], counters["ops.unshift.calls"]) == (1, 1)

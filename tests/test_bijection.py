@@ -4,11 +4,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dyckab import bijection
 from dyckab.paths import (
     DyckPath,
     compositions,
     conjugate,
     distinct_parts,
+    is_partition,
     partitions,
 )
 from dyckab.ops import BOTTOM, add_area_cell, bounce_boost
@@ -303,6 +305,137 @@ def test_certificate_count_lower_bound():
         assert sum(1 for _ in iter_certificates(n)) >= sum(
             1 for _ in partitions(n)
         )
+
+
+# -- the certificate memo ------------------------------------------------------------
+
+
+def outcome(fn, *args):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return ("returns", fn(*args))
+    except Exception as exc:
+        return ("raises", type(exc), str(exc))
+
+
+def uncached(monkeypatch, fn, *args):
+    """outcome(fn, *args) with every rule call bypassing the memo."""
+    with monkeypatch.context() as patched:
+        patched.setattr(bijection, "_certified_image", bijection._rule)
+        return outcome(fn, *args)
+
+
+def public_checks(lam, count_map):
+    """The public calls that reach the rule with (lam, count_map): as f,
+    and as g against the zero f on lam'."""
+    return [
+        (is_certificate, lam, count_map),
+        (extended_pair_valid, lam, count_map, {}),
+        (extended_pair_valid, conjugate(lam), {}, count_map),
+    ]
+
+
+def assert_memo_is_exact(monkeypatch, lam, count_map, twin):
+    """The public checks answer count_map as the uncached rule does, both
+    with an empty memo and with its plain-int twin memoized."""
+    calls = public_checks(lam, count_map)
+    want = [uncached(monkeypatch, *call) for call in calls]
+    twin_want = uncached(monkeypatch, is_certificate, lam, twin)
+    bijection._memo_image.cache_clear()
+    assert [outcome(*call) for call in calls] == want
+    assert outcome(is_certificate, lam, twin) == twin_want
+    assert [outcome(*call) for call in calls] == want
+
+
+# (lam, map, plain-int twin): each map equals its twin as dict keys and
+# values, yet the rule raises on it
+MALFORMED_TWINS = [
+    ((5, 1), {(1, 1): 4.0}, {(1, 1): 4}),  # float value
+    ((5, 1), {(1, 1): True}, {(1, 1): 1}),  # bool value
+    ((5, 1), {(1.0, 1): 4}, {(1, 1): 4}),  # float index
+]
+
+
+@pytest.mark.parametrize("lam, count_map, twin", MALFORMED_TWINS)
+def test_memo_answers_a_malformed_map_as_the_uncached_rule(monkeypatch, lam, count_map, twin):
+    # the twin is a certificate, so a key that took the map for its twin
+    # would return True where the rule raises
+    assert is_certificate(lam, twin)
+    assert outcome(is_certificate, lam, count_map)[0] == "raises"
+    assert_memo_is_exact(monkeypatch, lam, count_map, twin)
+
+
+@st.composite
+def maps_with_twins(draw):
+    """(lam, count map, plain-int twin): values from -1 up to the largest
+    bound, zeros included, on the bounce index set of lam' and off it;
+    one entry may become a float or bool value or a float index."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    lam = draw(st.sampled_from(list(partitions(n))))
+    indices = bounce_index_set(conjugate(lam)) + [(0, 1), (1, 0), (len(lam) + 1, 1)]
+    top = max(distinct_parts(lam))
+    entries = draw(st.dictionaries(st.sampled_from(indices), st.integers(-1, top), max_size=4))
+    twin = dict(entries)
+    count_map = dict(entries)
+    if entries:
+        (i, r), v = draw(st.sampled_from(sorted(entries.items())))
+        kind = draw(st.sampled_from(["plain", "float value", "bool value", "float index"]))
+        if kind == "float value":
+            count_map[(i, r)] = float(v)
+        elif kind == "bool value" and v in (0, 1):
+            count_map[(i, r)] = bool(v)
+        elif kind == "float index":
+            del count_map[(i, r)]
+            count_map[(float(i), r)] = v
+    return lam, count_map, twin
+
+
+@settings(max_examples=200)
+@given(maps_with_twins())
+@example(((5, 1), {(1, 1): 4.0}, {(1, 1): 4}))
+@example(((5, 1), {(1, 1): 4, (2, 1): 0.0}, {(1, 1): 4, (2, 1): 0}))
+def test_memo_answers_every_map_as_the_uncached_rule(case):
+    lam, count_map, twin = case
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_memo_is_exact(monkeypatch, lam, count_map, twin)
+
+
+@pytest.mark.parametrize("layout_first", [False, True])
+def test_float_partition_is_refused_in_either_call_order(layout_first):
+    # 5.0 equals 5 as a cache key, so a float partition must be refused
+    # before its layout is read, whether or not (5, 1)'s is cached
+    bijection._layout.cache_clear()
+    if layout_first:
+        bijection._layout((5, 1))
+    assert not is_certificate((5.0, 1), {(1, 1): 4})
+    assert not extended_pair_valid((5.0, 1), {(1, 1): 4}, {})
+    assert is_certificate((5, 1), {(1, 1): 4})
+
+
+def test_each_round_trip_builds_its_image_once(monkeypatch):
+    # classify, the map and the inverse on its image decode one pair per
+    # side, so with the memo they build one image per side
+    calls = 0
+    build = bijection.apply_bounce_map
+
+    def counted(lam, count_map):
+        nonlocal calls
+        calls += 1
+        return build(lam, count_map)
+
+    monkeypatch.setattr(bijection, "apply_bounce_map", counted)
+    for n in range(1, 10):
+        area_side, bounce_side = flip_sets(n)
+        for path in set(area_side) | set(bounce_side):
+            bijection._memo_image.cache_clear()
+            calls = 0
+            classify(path)
+            if path in area_side:
+                assert phi_inverse(phi(path)) == path
+            if path in bounce_side:
+                assert phi(phi_inverse(path)) == path
+            sides = (path in area_side) + (path in bounce_side)
+            assert 1 <= calls <= sides, (path.word, calls)
 
 
 # -- the flip -----------------------------------------------------------------------

@@ -261,6 +261,9 @@ def test_multiplicity_and_distinct_parts():
     assert multiplicity(lam, 2) == 0
     assert is_partition(lam)
     assert not is_partition((1, 3))
+    # parts are plain ints: a float or bool part equals an int, not is one
+    assert not is_partition((5.0, 1))
+    assert not is_partition((2, True))
 
 
 # -- enumeration ---------------------------------------------------------------
