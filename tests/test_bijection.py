@@ -10,7 +10,6 @@ from dyckab.paths import (
     compositions,
     conjugate,
     distinct_parts,
-    is_partition,
     partitions,
 )
 from dyckab.ops import BOTTOM, add_area_cell, bounce_boost
