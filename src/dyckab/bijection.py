@@ -12,7 +12,11 @@ builds one path; `_boost` makes one `ops._boost_run`, a sequence of unit
 shifts, per count, carrying one list of bounce points, so it sweeps them
 once.  Both, like every decode, read one cached layout per partition
 (`_layout`): its conjugate, block widths, index -> bounce point and
-index -> row tables, and its block path.
+index -> row tables, and its block path.  The public helpers that take a
+lam (the index sets, the two maps and the two `apply_*_map`s) refuse
+with ValueError any lam that `is_partition` rejects, before they read a
+layout: a part 5.0 or True equals an int as a cache key, and would
+otherwise read its int twin's layout once that is cached.
 
 A certificate (lam, f) is valid when f is supported on the bounce index
 set of lam', each block of values is weakly decreasing and strictly
@@ -115,7 +119,7 @@ class _Layout(NamedTuple):
     widths: tuple  # multiplicity of the (i+1)-th smallest distinct part
     tops: tuple
     offsets: tuple
-    block: DyckPath | None  # block path of lam; None unless parts are >= 1
+    block: DyckPath  # block path of lam
 
 
 # Bounded, since callers may meet any number of partitions (about 0.4 KB
@@ -134,10 +138,8 @@ def _layout(lam: tuple) -> _Layout:
     sizes = [counts[p] for p in bar]
     tops = tuple(reversed(list(accumulate(sizes))[:-1]))
     offsets = tuple(accumulate(m * p for m, p in zip(sizes[:-1], bar)))
-    composition = all(isinstance(a, int) and a >= 1 for a in lam)
-    block = _path(_blocks(lam)) if composition else None
     widths = tuple(reversed(sizes[:-1]))
-    return _Layout(conjugate(lam), bar, widths, tops, offsets, block)
+    return _Layout(conjugate(lam), bar, widths, tops, offsets, _path(_blocks(lam)))
 
 
 def _point(layout, lam, i, r) -> int:
@@ -166,11 +168,13 @@ def _row(layout, lam, i, r) -> int:
     raise ValueError(f"({i}, {r}) outside the row index set of {lam!r}")
 
 
-def _block_path(lam):
-    """The block path of lam from the layout; from_composition raises for
-    anything that is not a composition."""
-    block = _layout(lam).block
-    return DyckPath.from_composition(sum(lam), lam) if block is None else block
+def _partition(lam) -> tuple:
+    """``lam`` as a tuple, refused with ValueError unless `is_partition`
+    holds, so a float or bool part never reads the layout of its int twin."""
+    lam = tuple(lam)
+    if not is_partition(lam):
+        raise ValueError(f"{lam!r} is not a partition")
+    return lam
 
 
 # -- index sets and maps ---------------------------------------------------
@@ -179,26 +183,28 @@ def _block_path(lam):
 def bounce_index_set(lam) -> list:
     """(i, r) with 1 <= i <= l-1 and r up to the multiplicity of the
     (i+1)-th smallest distinct part (l = number of distinct parts)."""
-    widths = _layout(tuple(lam)).widths
+    widths = _layout(_partition(lam)).widths
     return [(i, r) for i, width in enumerate(widths, 1) for r in range(1, width + 1)]
 
 
 def row_index_set(lam) -> list:
     """(i, r) with 1 <= i <= l-1 and r up to the (i+1)-th distinct part."""
-    bar = _layout(tuple(lam)).bounds
+    bar = _layout(_partition(lam)).bounds
     return [(i, r) for i in range(1, len(bar)) for r in range(1, bar[i] + 1)]
 
 
 def bounce_map(lam, i, r) -> int:
     """Bounce-point index of the r-th last part of the (i+1)-th smallest
     distinct size in the block path of lam."""
-    return _point(_layout(tuple(lam)), lam, i, r)
+    lam = _partition(lam)
+    return _point(_layout(lam), lam, i, r)
 
 
 def row_map(lam, i, r) -> int:
     """Row r of the first block of the (i+1)-th distinct size in the block
     path of lam."""
-    return _row(_layout(tuple(lam)), lam, i, r)
+    lam = _partition(lam)
+    return _row(_layout(lam), lam, i, r)
 
 
 # -- the two operator bundles ----------------------------------------------
@@ -247,15 +253,15 @@ def _boost(path, lam, count_map):
 def apply_area_map(lam, count_map):
     """Stack count_map(i, r) cells in row row_map(lam, i, r) of the block
     path of lam."""
-    lam = tuple(lam)
-    return _stack(_block_path(lam), lam, count_map)
+    lam = _partition(lam)
+    return _stack(_layout(lam).block, lam, count_map)
 
 
 def apply_bounce_map(lam, count_map):
     """Boost bounce point bounce_map(lam, i, r) by count_map(i, r), indices
     ordered by i then r, starting from the block path of lam."""
-    lam = tuple(lam)
-    return _boost(_block_path(lam), lam, count_map)
+    lam = _partition(lam)
+    return _boost(_layout(lam).block, lam, count_map)
 
 
 # -- certificates -----------------------------------------------------------

@@ -10,13 +10,15 @@ path classes realizes every intermediate split of s, which settles which
 Everything here reads one exhaustive table, `level_sets`, capped at
 ENUMERATION_CAP.  It is filled from runs of paths that share all but
 their last TAIL_ROWS rows, each run one bytes join per group of tails
-that land on one level.  The minimal sets are its level ends: the first
-key of a level (by area) is area-minimal, the last bounce-minimal.  The
-shape conditions the theory attaches to them are kept as separate
-predicates and compared in the verification suite.  Both are necessary
-but not sufficient: the area-side one admits a non-minimal path at
-n = 6, the bounce-side one from n = 13 on.  Classes (shared area and
-bounce path) come from one index over the levels, `_class_index`.
+that land on one level; during the build a level is one int, its id
+``area * stride + bounce``, and becomes an (area, bounce) key once at
+the end.  The minimal sets are its level ends: the first key of a level
+(by area) is area-minimal, the last bounce-minimal.  The shape
+conditions the theory attaches to them are kept as separate predicates
+and compared in the verification suite.  Both are necessary but not
+sufficient: the area-side one admits a non-minimal path at n = 6, the
+bounce-side one from n = 13 on.  Classes (shared area and bounce path)
+come from one index over the levels, `_class_index`.
 
 The cached tables are read-only: `level_sets`, `ab_level_map`,
 `_class_index` and the walk witnesses `_witnesses` return mapping
@@ -41,7 +43,7 @@ from .paths import (
     _iter_runs,
     _packed,
     _sweep_bounce_points,
-    _tail_groups,
+    _tail_levels,
 )
 from .ops import BOTTOM, add_column_cell, down, up
 from .bijection import phi, phi_inverse
@@ -57,9 +59,11 @@ from .qbell import ab_interval_width, minimizing_composition
 ENUMERATION_CAP = 12
 
 # Rows of each path that `level_sets` appends from a memoized tail table
-# rather than steps through the enumerator.  At n = 12 (CPU, median of 5
-# fresh processes) three rows took 0.068 s, four 0.064, five 0.097 and six
-# 0.175: more rows mean fewer runs but many more tails to list and join.
+# rather than steps through the enumerator.  At n = 12 (CPU of the build
+# in a fresh process, medians of 9 alternated runs, 2-core Xeon, Python
+# 3.11) three rows took 0.051 s, four 0.041 and five 0.042; six took
+# about 0.09 s on a slower stretch where four took 0.071.  More rows mean
+# fewer runs but many more tails to list and join.
 TAIL_ROWS = 4
 
 
@@ -71,9 +75,14 @@ def level_sets(n: int) -> MappingProxyType:
     blobs are filled from runs of the enumerator (`paths._iter_runs`), the
     paths that share all but their last TAIL_ROWS rows.  The tails of a
     run depend only on where its last prefix row starts and on its last
-    bounce point, so `paths._tail_groups` lists them once per such pair
-    for the call, grouped by (area drop, bounce gain); each group is one
-    ``head.join`` onto its level, with no tuple per path.
+    bounce point, so `paths._tail_levels` lists them once per such pair
+    for the call, grouped by one int per group; each group is one
+    ``head.join`` onto its level, with no tuple per path.  During the
+    build a level is keyed by its id ``area * stride + bounce``, with
+    ``stride`` = C(n, 2) + 1 above any bounce, and a group of tails that
+    takes ``drop`` from the area and adds ``gain`` to the bounce lands at
+    the run's id less ``drop * stride - gain``.  The ids become (area,
+    bounce) keys once per level at the end, in first-seen order.
 
     The keys are the enumerator's carried stats, while the rest of this
     module reads the `DyckPath` methods; the first path of each level is
@@ -83,29 +92,33 @@ def level_sets(n: int) -> MappingProxyType:
             f"semilength {n} is above {ENUMERATION_CAP}, the largest the "
             "level table enumerates (ENUMERATION_CAP)"
         )
+    stride = n * (n - 1) // 2 + 1  # above any bounce, so a level id decodes
     blobs = defaultdict(bytearray)
     rows = min(TAIL_ROWS, n - 1)
-    tails = {}  # (prefix[-1], last) -> the _tail_groups of such a prefix
+    tails = {}  # (prefix[-1], last) -> the _tail_levels of such a prefix
     # one bytes object per tail across all lasts: 15,414 tails are 1,261
     # distinct at n = 12, and sharing them cuts what the memo holds by a third
     shared = {}
     for prefix, area, bounce, last in _iter_runs(n, rows):
         groups = tails.get((prefix[-1], last))
         if groups is None:
-            groups = tails[prefix[-1], last] = _tail_groups(n, n - rows, prefix[-1], last)
-            for _, _, parts in groups:
+            groups = tails[prefix[-1], last] = _tail_levels(
+                n, n - rows, prefix[-1], last, stride
+            )
+            for _, parts in groups:
                 parts[:] = [shared.setdefault(t, t) for t in parts]
         head = bytes(prefix)
-        for drop, gain, parts in groups:
-            blobs[area - drop, bounce + gain] += head.join(parts)
+        base = area * stride + bounce
+        for off, parts in groups:
+            blobs[base - off] += head.join(parts)
     if n < 2:
         out = {(0, 0): PathSequence([(0,) * n])}
     else:
         # one level's bytes at a time, so the table is never held twice
         out = {}
-        for key in list(blobs):
-            blob = blobs.pop(key)
-            out[key] = _packed(bytes(blob), n, len(blob) // n)
+        for level in list(blobs):
+            blob = blobs.pop(level)
+            out[divmod(level, stride)] = _packed(bytes(blob), n, len(blob) // n)
     for key, members in out.items():
         first = members[0]
         if (first.area(), first.bounce()) != key:

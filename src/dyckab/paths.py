@@ -20,13 +20,15 @@ yields each path object with its area and bounce, and `enumerate_paths`
 reads it; `iter_area_bounce` reads the stats alone.  Both take runs of
 one row, so their first path comes at once at any n.  The level table of
 `extremal.level_sets` takes runs of four rows and appends each run from
-`_tail_groups`, the tails of those rows grouped by what they take from
-the area and add to the bounce, one bytes join per group.
-`iter_area_bounce` and the level table build neither a path object nor
-a row-start tuple per path.  `PathSequence` is how such a table hands
-its members out: a read-only sequence over one bytes blob of row starts,
-n bytes per path, that builds each path as it is read, so a table of
-208,012 paths holds 2.5 MB of bytes, not one object per path.
+`_tail_levels`, the one tail lister: the tails of those rows, grown as
+bytes a row at a time and grouped by one int that says how far they
+move a prefix's level (what they take from the area and add to the
+bounce), one bytes join per group.  `iter_area_bounce` and the level
+table build neither a path object nor a row-start tuple per path.
+`PathSequence` is how such a table hands its members out: a read-only
+sequence over one bytes blob of row starts, n bytes per path, that
+builds each path as it is read, so a table of 208,012 paths holds
+2.5 MB of bytes, not one object per path.
 A blob holds row starts up to 255, so a `PathSequence` holds paths of
 semilength at most 256; the level tables stop at 12.
 One unchecked builder, `_blocks`, gives the block path of a composition
@@ -68,6 +70,11 @@ class DyckPath:
 
     def __init__(self, row_starts):
         x = tuple(row_starts)
+        # plain ints only: a float or bool row start would equal and hash
+        # as its int twin, sharing that path's memo entries
+        for r, xr in enumerate(x, 1):
+            if type(xr) is not int:
+                raise ValueError(f"row start {xr!r} at row {r} is not an int")
         ok, pos = _row_starts_ok(x)
         if not ok:
             raise ValueError(f"invalid row starts {x!r} at row {pos}")
@@ -467,37 +474,49 @@ def _iter_runs(n, rows=1):
         lasts[j + 1 :] = [last] * k
 
 
-def _tail_groups(n, m, p, last) -> list:
+# _BYTE[v] is the one-byte bytes of v, for growing tails a row at a time.
+_BYTE = tuple(bytes((v,)) for v in range(256))
+
+
+def _tail_levels(n, m, p, last, stride) -> list:
     """The tails (row starts of rows m+1..n) that may follow a prefix of
     m rows whose row m starts at ``p`` and whose last bounce point is
-    ``last``, grouped as (drop, gain, [b"", tail, tail, ...]).
+    ``last``, grouped as (off, [b"", tail, tail, ...]) by the level they
+    move the prefix by.
 
     A path made of the prefix and a tail has the prefix's area less
     ``drop``, the tail's row-start sum, and its bounce plus ``gain``, the
-    worth of the points the tail's rows open.  Each tail is bytes, and the
-    leading b"" makes ``head.join(parts)`` the paths of prefix ``head``
-    concatenated.  Groups follow the order of their first tail, and the
-    tails inside a group stay in word order, so appending groups prefix by
-    prefix keeps every level in word order and its keys in first-seen
-    order.
+    worth of the points the tail's rows open.  A group carries them as one
+    int, ``off = drop * stride - gain``: with ``stride`` above C(n, 2), a
+    level (area, bounce) has the id ``area * stride + bounce``, and the
+    prefix's level id less ``off`` is the path's.  Each tail is bytes,
+    grown one byte per row from `_BYTE`, and the leading b"" makes
+    ``head.join(parts)`` the paths of prefix ``head`` concatenated.  Groups
+    follow the order of their first tail, and the tails inside a group
+    stay in word order, so appending groups prefix by prefix keeps every
+    level in word order and its keys in first-seen order.
     """
-    # (row starts from row m on, drop, gain, last point), in word order:
-    # each row extends every partial tail in order
-    tails = [((p,), 0, 0, last)]
-    for r in range(m + 1, n + 1):
+    # (tail bytes, its last row start, off, last point), in word order:
+    # each row before the last extends every partial tail in order
+    tails = [(b"", p, 0, last)]
+    for r in range(m + 1, n):
         point = r - 1  # the bounce point row r opens, worth n - point
+        worth = n - point
         grown = []
-        for t, drop, gain, lst in tails:
-            for v in range(t[-1], r):
-                if v > lst:
-                    grown.append((t + (v,), drop + v, gain + n - point, point))
-                else:
-                    grown.append((t + (v,), drop + v, gain, lst))
+        for t, lo, off, lst in tails:
+            # a row starting at or left of the last point opens none
+            for v in range(lo, min(lst + 1, r)):
+                grown.append((t + _BYTE[v], v, off + v * stride, lst))
+            for v in range(max(lo, lst + 1), r):
+                grown.append((t + _BYTE[v], v, off + v * stride - worth, point))
         tails = grown
+    # the last row opens the point n - 1, worth 1, and its tails go
+    # straight to their groups
     groups = {}
-    for t, drop, gain, _ in tails:
-        groups.setdefault((drop, gain), [b""]).append(bytes(t[1:]))
-    return [(drop, gain, parts) for (drop, gain), parts in groups.items()]
+    for t, lo, off, lst in tails:
+        for v in range(lo, n):
+            groups.setdefault(off + v * stride - (v > lst), [b""]).append(t + _BYTE[v])
+    return list(groups.items())
 
 
 def iter_area_bounce(n: int) -> Iterator[tuple]:

@@ -64,21 +64,35 @@ def test_index_sets_degenerate():
     assert row_index_set((1, 1)) == []
 
 
+PARTITION_HELPERS = (
+    lambda lam: apply_area_map(lam, {}),
+    lambda lam: apply_bounce_map(lam, {}),
+    bounce_index_set,
+    row_index_set,
+    lambda lam: bounce_map(lam, 1, 1),
+    lambda lam: row_map(lam, 1, 1),
+)
+
+
 @pytest.mark.parametrize(
     "parts, conj, bounce_set, row_set",
     [
-        ((1, 2, 1), (3,), [(1, 1), (2, 1), (2, 2)], [(1, 1), (1, 2), (2, 1)]),
-        ((3, 0, 1), (2, 1, 1), [(1, 1), (2, 1)], [(2, 1)]),
-        ((2, 5), (2, 2), [(1, 1)], [(1, r) for r in range(1, 6)]),
-        ((4, -1, 2), (2, 2, 1, 1), [(1, 1), (2, 1)], [(2, 1), (2, 2)]),
+        ((1, 2, 1), (3,), [], []),
+        ((3, 0, 1), (2, 1, 1), [(1, 1)], [(1, 1)]),
+        ((2, 5), (2, 2), [], []),
+        ((4, -1, 2), (2, 2, 1, 1), [(1, 1), (1, 2)], [(1, 1)]),
     ],
 )
 def test_partition_helpers_on_non_partitions(parts, conj, bounce_set, row_set):
-    # pinned values on tuples that are not partitions: unsorted parts,
-    # zero and negative parts
+    # tuples that are not partitions: unsorted parts, zero and negative
+    # parts.  conjugate reads any tuple of ints and returns a partition;
+    # every helper refuses the tuple and answers for its conjugate
     assert conjugate(parts) == conj
-    assert bounce_index_set(parts) == bounce_set
-    assert row_index_set(parts) == row_set
+    for helper in PARTITION_HELPERS:
+        with pytest.raises(ValueError, match="not a partition"):
+            helper(parts)
+    assert bounce_index_set(conj) == bounce_set
+    assert row_index_set(conj) == row_set
 
 
 @st.composite
@@ -409,6 +423,20 @@ def test_float_partition_is_refused_in_either_call_order(layout_first):
     assert not is_certificate((5.0, 1), {(1, 1): 4})
     assert not extended_pair_valid((5.0, 1), {(1, 1): 4}, {})
     assert is_certificate((5, 1), {(1, 1): 4})
+
+
+@pytest.mark.parametrize("int_first", [False, True])
+def test_partition_helpers_refuse_non_partitions_in_either_call_order(int_first):
+    # (5.0, 1) and (5, True) equal (5, 1) as cache keys, so each helper
+    # must refuse them before the layout is read, cached or not
+    for helper in PARTITION_HELPERS:
+        bijection._layout.cache_clear()
+        if int_first:
+            helper((5, 1))
+        for lam in [(5.0, 1), (5, True)]:
+            with pytest.raises(ValueError, match="not a partition"):
+                helper(lam)
+        helper((5, 1))
 
 
 def test_each_round_trip_builds_its_image_once(monkeypatch):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import time
 import tracemalloc
@@ -118,6 +119,25 @@ def test_level_sets_match_independent_enumeration():
         assert list(table) == list(grouped)
         for key, members in table.items():
             assert members.row_starts == tuple(grouped[key])
+
+
+# sha256 over each level's key, size and row starts, in table order.  The
+# brute-force tests above stop at n = 10, whose digest they vouch for;
+# these pin the table past them.
+LEVEL_TABLE_DIGESTS = {
+    10: "55dbb6c8dcd99030a6b8ba9484f91c9152235cdf7fa0e2a9e7d4c31a49926235",
+    11: "7ae52ab426d2ac7ff19416e075979b28037bae631e563538c8dbbd57ae66447a",
+    12: "eafbd89e26f44453e1173859526f041ca02a1ef4448624d14ff536a40c0cf4f7",
+}
+
+
+@pytest.mark.parametrize("n", sorted(LEVEL_TABLE_DIGESTS))
+def test_level_table_digest(n):
+    digest = hashlib.sha256()
+    for (a, b), seq in level_sets(n).items():
+        digest.update(f"{a},{b},{len(seq)};".encode())
+        digest.update(bytes(x for row in seq.row_starts for x in row))
+    assert digest.hexdigest() == LEVEL_TABLE_DIGESTS[n]
 
 
 def test_path_sequences_match_grouping_by_methods():

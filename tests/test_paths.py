@@ -11,7 +11,7 @@ from _strategies import dyck_paths
 from dyckab.paths import (
     DyckPath,
     PathSequence,
-    _tail_groups,
+    _tail_levels,
     catalan,
     conjugate,
     count_paths_with_bounce_path,
@@ -118,6 +118,17 @@ def test_from_composition_size_mismatch():
 def test_from_composition_rejects_zero_part():
     with pytest.raises(ValueError):
         blocks(3, (3, 0))
+
+
+def test_row_starts_must_be_plain_ints():
+    # a float or bool row start equals its int twin as a key, so it would
+    # share that path's memo entries; each is refused, naming its row
+    for x in [(0, 0.5, 1), (0, 0.0), (0, True)]:
+        with pytest.raises(ValueError, match="at row 2"):
+            DyckPath(x)
+    with pytest.raises(ValueError, match="at row 2"):
+        DyckPath.from_area_sequence([0, 1.0])
+    assert DyckPath((0, 0)).word == "NNEE"
 
 
 # -- statistics ---------------------------------------------------------------
@@ -319,19 +330,21 @@ def test_tail_groups_cover_the_tails_in_word_order():
         for prefix, members in by_prefix.items():
             # the last bounce point rows 1..m open, the same for every member
             last = max(b for b in DyckPath(members[0]).bounce_points() if b < m)
-            groups = _tail_groups(n, m, prefix[-1], last)
-            assert len({(drop, gain) for drop, gain, _ in groups}) == len(groups)
+            stride = math.comb(n, 2) + 1
+            groups = _tail_levels(n, m, prefix[-1], last, stride)
+            assert len({off for off, _ in groups}) == len(groups)
             tails = []
-            for drop, gain, parts in groups:
+            for off, parts in groups:
                 assert parts[0] == b"" and parts[1:] == sorted(parts[1:])
                 for t in parts[1:]:
                     p = DyckPath(prefix + tuple(t))
-                    assert p.area() == math.comb(n, 2) - sum(prefix) - drop
-                    assert gain == sum(n - b for b in p.bounce_points() if b > last)
+                    drop = math.comb(n, 2) - sum(prefix) - p.area()
+                    gain = sum(n - b for b in p.bounce_points() if b > last)
+                    assert drop == sum(t) and off == drop * stride - gain
                 tails += parts[1:]
             assert sorted(tails) == [bytes(x[m:]) for x in members]
             # groups in the order of their first tail
-            firsts = [parts[1] for _, _, parts in groups]
+            firsts = [parts[1] for _, parts in groups]
             assert firsts == sorted(firsts)
 
 
