@@ -121,11 +121,9 @@ def test_level_sets_match_independent_enumeration():
             assert members.row_starts == tuple(grouped[key])
 
 
-# sha256 over each level's key, size and row starts, in table order.  The
-# brute-force tests above stop at n = 10, whose digest they vouch for;
-# these pin the table past them.
+# sha256 over each level's key, size and row starts, in table order: the
+# brute-force tests above stop at n = 10, and these pin the table past them
 LEVEL_TABLE_DIGESTS = {
-    10: "55dbb6c8dcd99030a6b8ba9484f91c9152235cdf7fa0e2a9e7d4c31a49926235",
     11: "7ae52ab426d2ac7ff19416e075979b28037bae631e563538c8dbbd57ae66447a",
     12: "eafbd89e26f44453e1173859526f041ca02a1ef4448624d14ff536a40c0cf4f7",
 }
