@@ -9,14 +9,16 @@ lam' on the other, produces a pair of paths whose area and bounce
 statistics are exchanged.  Two edits of a start path build every side:
 `_stack` stacks area cells in rows, `_boost` boosts bounce points.  Each
 builds one path; `_boost` makes one `ops._boost_run`, a sequence of unit
-shifts, per count, carrying one list of bounce points, so it sweeps them
-once.  Both, like every decode, read one cached layout per partition
-(`_layout`): its conjugate, block widths, index -> bounce point and
-index -> row tables, and its block path.  The public helpers that take a
-lam (the index sets, the two maps and the two `apply_*_map`s) refuse
-with ValueError any lam that `is_partition` rejects, before they read a
-layout: a part 5.0 or True equals an int as a cache key, and would
-otherwise read its int twin's layout once that is cached.
+shifts, per count, carrying one list copied from the start path's bounce
+points (`paths._points`, swept once per path object), so it sweeps none;
+the path it builds takes none of that list, and sweeps its own points on
+its first read.  Both, like every decode, read one cached layout per
+partition (`_layout`): its conjugate, block widths, index -> bounce point
+and index -> row tables, and its block path.  The public helpers that
+take a lam (the index sets, the two maps and the two `apply_*_map`s)
+refuse with ValueError any lam that `is_partition` rejects, before they
+read a layout: a part 5.0 or True equals an int as a cache key, and
+would otherwise read its int twin's layout once that is cached.
 
 A certificate (lam, f) is valid when f is supported on the bounce index
 set of lam', each block of values is weakly decreasing and strictly
@@ -67,8 +69,8 @@ from .paths import (
     is_partition,
     partitions,
     _blocks,
-    _bounce_points,
     _path,
+    _points,
 )
 from .ops import BOTTOM, _boost_run, _check_amount, _checked
 
@@ -238,7 +240,7 @@ def _boost(path, lam, count_map):
         return BOTTOM
     layout = _layout(lam)
     x = path.row_starts
-    b = list(_bounce_points(x))
+    b = list(_points(path))
     for (i, r) in sorted(count_map):
         k = count_map[(i, r)]
         if k:
@@ -359,6 +361,8 @@ def _certified(n: int) -> tuple:
     construction, so only the image is checked, by `_minimal_image`
     directly: the stream is cached per n, and passing it through the
     rule's memo would only evict the entries of round trips."""
+    if n < 0:
+        raise ValueError("semilength must be nonnegative")
     out = []
     for lam in partitions(n):
         layout = _layout(lam)

@@ -141,8 +141,8 @@ def _class_index(n: int) -> MappingProxyType:
     """Read-only (area, bounce composition) -> `PathSequence` of the class
     members in word order, split out of the levels (a class lies inside
     one level).  Members are grouped by their bounce points, each swept
-    once from the member's slice of the level's blob without the sweep
-    memo, since each is read once; each class is the join of its slices."""
+    once from the member's slice of the level's blob, with no path object
+    built; each class is the join of its slices."""
     out = {}
     for (area, _), members in level_sets(n).items():
         blob = members._blob

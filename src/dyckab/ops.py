@@ -8,11 +8,11 @@ failure BOTTOM.
 Each operator is one edit of the row starts x (x_r is the start of row r,
 rows 1-based) and scans a row-start tuple at most once.  The height of
 column c is h_c = bisect_left(x, c), the number of rows that start left
-of c; bounce points come from the memoized sweep of `paths`.  Where a
-test on the input shows that the result would be invalid, `up`,
-`unshift` and `shift` return BOTTOM before they edit, each refusal
-argued exact beside its test.  `shift` and `up` are the BOTTOM test and
-the index check, then a private core on the row-start tuple: `_shift`,
+of c; bounce points come from `paths._points`, which sweeps a path once
+and keeps them on it.  Where a test on the input shows that the result
+would be invalid, `up`, `unshift` and `shift` return BOTTOM before they
+edit, each refusal argued exact beside its test.  `shift` and `up` are the BOTTOM test and
+the index check, then a private core on the path: `_shift`,
 whose tests imply a valid result, and `_up_edit`, the raw edit (None
 where `up` refuses before editing), which `up` checks.  The inverses
 run that core forward on the candidate they build, at the index already
@@ -24,7 +24,10 @@ result and `down` candidate.  `_shift_run`, the one shift rule, maps a
 row-start tuple and its bounce points to the row starts after one shift
 or None, and edits neither.  `_shift` is one call of it; a boost is a
 sequence of such unit shifts, planned and applied by `_boost_run`, and
-the flip's bounce map (`bijection._boost`) makes one per count.
+the flip's bounce map (`bijection._boost`) makes one per count.  The
+bounce points these carry stay theirs: a path an operator builds sweeps
+its own on its first read (`unshift` and `down` read their candidate's
+as they verify it).
 
 Cell operators:
   add_area_cell(p, r)      one cell to the left of the path in row r:
@@ -48,7 +51,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
-from .paths import _bounce_points, _path, _row_starts_ok
+from .paths import _path, _points, _row_starts_ok
 
 
 class Bottom:
@@ -159,14 +162,14 @@ def shift(path, i):
     if path is BOTTOM:
         return BOTTOM
     _check_index(path, i, "bounce index")
-    return _shift(path._x, i)
+    return _shift(path, i)
 
 
-def _shift(x, i):
-    """`shift` on the row starts ``x`` of a path at a bounce index ``i``
-    already checked against its length: the path or BOTTOM."""
-    b = _bounce_points(x)
-    y = _shift_run(x, b, i) if i < len(b) - 1 else None
+def _shift(path, i):
+    """`shift` of ``path`` at a bounce index ``i`` already checked against
+    its length: the path or BOTTOM."""
+    b = _points(path)
+    y = _shift_run(path._x, b, i) if i < len(b) - 1 else None
     return BOTTOM if y is None else _path(y)
 
 
@@ -185,8 +188,8 @@ def unshift(path, i):
     if path is BOTTOM:
         return BOTTOM
     _check_index(path, i, "bounce index")
-    x = path.row_starts
-    b = _bounce_points(x)
+    x = path._x
+    b = _points(path)
     m = len(b) - 1
     if i >= m:
         return BOTTOM
@@ -204,7 +207,7 @@ def unshift(path, i):
     if s < 1 or t <= c:
         return BOTTOM
     candidate = _path(x[:c] + (b[i - 1],) + x[c + 1 : t] + (c + 1,) * s + x[b[i + 1] :])
-    if _shift(candidate._x, i) != path:
+    if _shift(candidate, i) != path:
         return BOTTOM
     return candidate
 
@@ -225,7 +228,7 @@ def bounce_boost(path, i, k):
     _check_amount(k)
     if k == 0:
         return path
-    x = _boost_run(path._x, list(_bounce_points(path._x)), i, k)
+    x = _boost_run(path._x, list(_points(path)), i, k)
     return BOTTOM if x is None else _path(x)
 
 
@@ -305,16 +308,17 @@ def up(path, i):
     if path is BOTTOM:
         return BOTTOM
     _check_index(path, i, "bounce index")
-    edit = _up_edit(path._x, i)
+    edit = _up_edit(path, i)
     return BOTTOM if edit is None else _checked(edit)
 
 
-def _up_edit(x, i):
-    """`up`'s edit of the row starts ``x`` of a path at a bounce index
-    ``i`` already checked against its length, unchecked, or None where
-    `up` refuses before it edits.  It bisects x for the heights of columns
+def _up_edit(path, i):
+    """`up`'s edit of the row starts x of ``path`` at a bounce index ``i``
+    already checked against its length, unchecked, or None where `up`
+    refuses before it edits.  It bisects x for the heights of columns
     b_{i-1}, b_i and cut and of the u columns that beta reads."""
-    b = _bounce_points(x)
+    x = path._x
+    b = _points(path)
     m = len(b) - 1
     if i > m:
         return None
@@ -355,9 +359,9 @@ def down(path, i):
     if path is BOTTOM:
         return BOTTOM
     _check_index(path, i, "bounce index")
-    n = path.n
-    x = path.row_starts
-    b = _bounce_points(x)
+    x = path._x
+    n = len(x)
+    b = _points(path)
     m = len(b) - 1
     if i >= m:
         return BOTTOM
@@ -383,7 +387,7 @@ def down(path, i):
         t = r - (c + 1)
         xp[r - 1] = b[i - 1] + 1 + sum(1 for v in beta if v <= t)
     candidate = _checked(xp)
-    if candidate is BOTTOM or _up_edit(candidate._x, i) != x:
+    if candidate is BOTTOM or _up_edit(candidate, i) != x:
         return BOTTOM
     return candidate
 

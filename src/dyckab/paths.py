@@ -15,10 +15,10 @@ One enumerator, `_iter_runs`, walks that order one run at a time: the
 paths that share their first n - rows rows and differ only in the rest.
 It carries each prefix's area and bounce (see its docstring for the
 equal-run invariant that makes this a scalar update), and its readers
-run through the remaining rows themselves.  `enumerate_with_stats`
-yields each path object with its area and bounce, and `enumerate_paths`
-reads it; `iter_area_bounce` reads the stats alone.  Both take runs of
-one row, so their first path comes at once at any n.  The level table of
+run through the remaining rows themselves.  `enumerate_paths` yields
+the path objects, `enumerate_with_stats` each with its area and bounce,
+and `iter_area_bounce` the stats alone.  All three take runs of one
+row, so their first path comes at once at any n.  The level table of
 `extremal.level_sets` takes runs of four rows and appends each run from
 `_tail_levels`, the one tail lister: the tails of those rows, grown as
 bytes a row at a time and grouped by one int that says how far they
@@ -34,16 +34,19 @@ semilength at most 256; the level tables stop at 12.
 One unchecked builder, `_blocks`, gives the block path of a composition
 to `from_composition`, `bounce_path` and the flip's layouts.
 
-Bounce points are swept from the row starts, and the sweep is memoized
-per row-start tuple: `_bounce_points` is a bounded `lru_cache` of
-SWEEP_MEMO_SIZE entries that returns tuples, so no caller can change a
-cached result.  The `DyckPath` statistics and the operators in `ops`
+Bounce points are swept from the row starts once per path object:
+`_points(path)` fills the path's `_pts` slot on its first read, as
+`word` fills `_word`, and returns that tuple from then on, so no caller
+can change it.  The `DyckPath` statistics and the operators in `ops`
 read it; an operator call reads the points of one path several times
 (its own check, the inverse it verifies, the statistics of its result),
-so a memo this small holds what is reused and a path object holds
-nothing extra.  One-off reads of many paths, such as the class index
-over a level table, sweep without the memo (`_sweep_bounce_points`).
-Column heights are not memoized: h_c = bisect_left(x, c), so an
+and sweeps each path it reads once.  A path an edit builds never takes
+the points the edit carried along: it sweeps itself on its first read,
+so a check that compares its points with what the edit expected
+compares two routes.  One-off reads of many row-start tuples, such as
+the class index over a level table, call the sweep,
+`_sweep_bounce_points`, directly; no memo is kept across paths.
+Column heights are not kept: h_c = bisect_left(x, c), so an
 operator bisects for the few heights it needs, and `column_heights`
 sweeps all of them afresh.
 """
@@ -53,33 +56,25 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
-from functools import lru_cache
 from itertools import accumulate, repeat
 from typing import Iterator
-
-# Entries of the bounce-point memo.  On a stream of 8,000 random paths at
-# n = 12..24 the hit counts were the same at 32, 64 and 256 entries, since
-# the reuse happens within one operator call or one query.
-SWEEP_MEMO_SIZE = 64
 
 
 class DyckPath:
     """Immutable Dyck path of semilength n."""
 
-    __slots__ = ("_x", "_word")
+    __slots__ = ("_x", "_word", "_pts")
 
     def __init__(self, row_starts):
-        x = tuple(row_starts)
         # plain ints only: a float or bool row start would equal and hash
-        # as its int twin, sharing that path's memo entries
-        for r, xr in enumerate(x, 1):
-            if type(xr) is not int:
-                raise ValueError(f"row start {xr!r} at row {r} is not an int")
+        # as its int twin, so the two would be one path as a key
+        x = _plain_ints(row_starts, "row start", "row")
         ok, pos = _row_starts_ok(x)
         if not ok:
             raise ValueError(f"invalid row starts {x!r} at row {pos}")
         self._x = x
         self._word = None
+        self._pts = None
 
     # -- constructors -------------------------------------------------
 
@@ -124,12 +119,13 @@ class DyckPath:
     @classmethod
     def from_area_sequence(cls, seq) -> "DyckPath":
         """Build the path whose r-th row holds seq[r-1] whole cells."""
+        seq = _plain_ints(seq, "area", "row")
         x = tuple((r - 1) - a for r, a in enumerate(seq, 1))
         return cls(x)
 
     @classmethod
     def from_column_heights(cls, heights) -> "DyckPath":
-        h = tuple(heights)
+        h = _plain_ints(heights, "height", "column")
         # row r starts after the columns lower than r
         path = cls(bisect_left(h, r) for r in range(1, len(h) + 1))
         if path.column_heights() != h:
@@ -143,7 +139,7 @@ class DyckPath:
         Its bounce path is itself; such paths are exactly the paths with
         no floating cells.
         """
-        alpha = tuple(alpha)
+        alpha = _plain_ints(alpha, "part", "position")
         if any(a < 1 for a in alpha):
             raise ValueError(f"composition parts must be positive: {alpha!r}")
         if sum(alpha) != n:
@@ -164,14 +160,9 @@ class DyckPath:
     def word(self) -> str:
         w = self._word
         if w is None:
-            parts = []
-            prev = 0
-            for xr in self._x:
-                parts.append("E" * (xr - prev))
-                parts.append("N")
-                prev = xr
-            parts.append("E" * (self.n - prev))
-            w = "".join(parts)
+            # the east runs before row 1, between rows and after row n
+            x = self._x
+            w = "N".join(["E" * (b - a) for a, b in zip((0,) + x, x + (len(x),))])
             self._word = w
         return w
 
@@ -202,8 +193,9 @@ class DyckPath:
         return tuple((r - 1) - xr for r, xr in enumerate(self._x, 1))
 
     def area(self) -> int:
-        n = self.n
-        return (n * (n - 1)) // 2 - sum(self._x)
+        x = self._x
+        n = len(x)
+        return (n * (n - 1)) // 2 - sum(x)
 
     def column_heights(self) -> tuple:
         """Cells below the path in each column: h[c-1] for column c, the
@@ -213,14 +205,14 @@ class DyckPath:
 
     def bounce_points(self) -> tuple:
         """Diagonal touch heights (b_0=0, ..., b_m=n) of the bounce path."""
-        return _bounce_points(self._x)
+        return _points(self)
 
     def bounce_composition(self) -> tuple:
-        return _composition(_bounce_points(self._x))
+        return _composition(_points(self))
 
     def bounce(self) -> int:
-        pts = _bounce_points(self._x)
-        return self.n * (len(pts) - 1) - sum(pts)
+        pts = _points(self)
+        return len(self._x) * (len(pts) - 1) - sum(pts)
 
     def bounce_path(self) -> "DyckPath":
         return _path(_blocks(self.bounce_composition()))
@@ -263,7 +255,7 @@ class DyckPath:
         and of the bounce points."""
         x = self._x
         n = len(x)
-        pts = _bounce_points(x)
+        pts = _points(self)
         alpha = _composition(pts)
         area = (n * (n - 1)) // 2 - sum(x)
         return {
@@ -359,7 +351,19 @@ def _path(x, word=None) -> DyckPath:
     p = DyckPath.__new__(DyckPath)
     p._x = x
     p._word = word
+    p._pts = None
     return p
+
+
+def _plain_ints(values, what, at) -> tuple:
+    """``values`` as a tuple, refused with ValueError naming the first
+    entry that is not a plain int: a float or bool equals its int twin,
+    and would build, count or key as that twin."""
+    values = tuple(values)
+    for k, v in enumerate(values, 1):
+        if type(v) is not int:
+            raise ValueError(f"{what} {v!r} at {at} {k} is not an int")
+    return values
 
 
 def _blocks(alpha) -> tuple:
@@ -373,8 +377,9 @@ def _blocks(alpha) -> tuple:
 
 
 def _sweep_bounce_points(x) -> tuple:
-    """Bounce points of the path with row starts ``x``, swept without the
-    memo.
+    """Bounce points of the path with row starts ``x``, swept afresh: the
+    one sweep, which `_points` runs once per path object and the class
+    index of `extremal` runs on row starts read from a table.
 
     The bounce path leaving the diagonal at b_j climbs through every row
     that starts at or left of column b_j, so b_{j+1} = bisect_right(x, b_j).
@@ -388,8 +393,13 @@ def _sweep_bounce_points(x) -> tuple:
     return tuple(pts)
 
 
-# The memoized sweep, keyed by the row-start tuple ``x``.
-_bounce_points = lru_cache(maxsize=SWEEP_MEMO_SIZE)(_sweep_bounce_points)
+def _points(path) -> tuple:
+    """The bounce points of ``path``, swept on the first read and kept in
+    its ``_pts`` slot."""
+    pts = path._pts
+    if pts is None:
+        pts = path._pts = _sweep_bounce_points(path._x)
+    return pts
 
 
 def _composition(pts) -> tuple:
@@ -401,8 +411,11 @@ def _composition(pts) -> tuple:
 
 def enumerate_paths(n: int) -> Iterator[DyckPath]:
     """All Dyck paths of semilength n in word order (N < E), each once."""
-    for p, _, _ in enumerate_with_stats(n):
-        yield p
+    for prefix, _, _, _ in _iter_runs(n):
+        for v in range(prefix[-1], n):
+            yield _path(prefix + (v,))
+    if n < 2:
+        yield _path((0,) * n)
 
 
 def enumerate_with_stats(n: int) -> Iterator[tuple]:
@@ -427,7 +440,7 @@ def _iter_runs(n, rows=1):
     last row at v, for v in prefix[-1]..n-1, and has area ``area - v`` and
     bounce ``bounce + (v > last)``: row n opens the point n - 1, worth 1,
     when v exceeds ``last``.  The readers run through the tails
-    themselves, as `_tail_groups` does for more rows.  For n < 2 the one
+    themselves, as `_tail_levels` does for more rows.  For n < 2 the one
     path has no row before the last, so there is no run, and each reader
     yields that path itself.
 
@@ -543,6 +556,8 @@ def catalan(n: int) -> int:
 
 def compositions(n: int) -> Iterator[tuple]:
     """All 2^(n-1) compositions of n, parts left to right."""
+    if n < 0:
+        raise ValueError("semilength must be nonnegative")
     if n == 0:
         yield ()
         return
@@ -560,6 +575,8 @@ def compositions(n: int) -> Iterator[tuple]:
 
 def partitions(n: int) -> Iterator[tuple]:
     """All partitions of n, parts weakly decreasing."""
+    if n < 0:
+        raise ValueError("semilength must be nonnegative")
 
     def rec(m, mx):
         if m == 0:
@@ -575,10 +592,12 @@ def partitions(n: int) -> Iterator[tuple]:
 def is_partition(parts) -> bool:
     """Weakly decreasing parts, each a plain int (not a bool or a float,
     which equal an int and would share its cached layout) of at least 1."""
-    parts = tuple(parts)
-    return all(type(p) is int and p >= 1 for p in parts) and all(
-        parts[i] >= parts[i + 1] for i in range(len(parts) - 1)
-    )
+    prev = None
+    for p in parts:
+        if type(p) is not int or p < 1 or (prev is not None and p > prev):
+            return False
+        prev = p
+    return True
 
 
 def conjugate(parts) -> tuple:
@@ -586,9 +605,10 @@ def conjugate(parts) -> tuple:
 
     Entry i (1 <= i <= parts[0]) counts the parts >= i: one count per
     part size, then a suffix sum, in linear time.  On any tuple of ints,
-    parts above parts[0] count as parts[0] and parts <= 0 are ignored.
+    parts above parts[0] count as parts[0] and parts <= 0 are ignored; a
+    part that is not a plain int is refused with ValueError.
     """
-    parts = tuple(parts)
+    parts = _plain_ints(parts, "part", "position")
     top = parts[0] if parts else 0
     if top < 1:
         return ()
@@ -621,7 +641,7 @@ def count_paths_with_bounce_path(n: int, alpha) -> int:
     Product over consecutive parts of C(a_{j-1} + a_j - 1, a_j); the
     one-part composition gives the empty product 1.
     """
-    alpha = tuple(alpha)
+    alpha = _plain_ints(alpha, "part", "position")
     if sum(alpha) != n or any(a < 1 for a in alpha):
         raise ValueError(f"{alpha!r} is not a composition of {n}")
     out = 1

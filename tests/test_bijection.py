@@ -455,6 +455,25 @@ def test_each_round_trip_builds_its_image_once(monkeypatch):
             assert 1 <= calls <= sides, (path.word, calls)
 
 
+def test_every_size_entry_refuses_a_negative_size():
+    # as the enumerators and the polynomial tables do; a generator raises
+    # on its first item, and no empty certificate stream is cached
+    cached = bijection._certified.cache_info().currsize
+    entries = (
+        partitions,
+        compositions,
+        iter_certificates,
+        iter_extended_certificates,
+        flip_sets,
+        extended_flip_sets,
+    )
+    for entry in entries:
+        for n in (-1, -3):
+            with pytest.raises(ValueError, match="semilength must be nonnegative"):
+                next(iter(entry(n)))
+    assert bijection._certified.cache_info().currsize == cached
+
+
 # -- the flip -----------------------------------------------------------------------
 
 

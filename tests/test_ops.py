@@ -3,9 +3,17 @@ import hashlib
 import pytest
 from hypothesis import given, settings
 
+from dyckab import bijection
 from dyckab import ops as ops_module
 from dyckab import paths as paths_module
-from dyckab.paths import DyckPath, enumerate_paths
+from dyckab.bijection import (
+    apply_area_map,
+    apply_bounce_map,
+    iter_certificates,
+    phi,
+    phi_inverse,
+)
+from dyckab.paths import DyckPath, conjugate, enumerate_paths
 from dyckab.ops import (
     BOTTOM,
     add_area_cell,
@@ -271,9 +279,9 @@ def reference_sweeps(x):
 
 
 def test_operators_leave_memoized_sweeps_intact():
-    # the bounce points are memoized per row-start tuple; an operator
-    # editing in place must not reach the cached result, nor change the
-    # column heights, which are swept afresh
+    # each path keeps its bounce points in its slot; an operator editing
+    # a copy in place must not reach them, nor change the column heights,
+    # which are swept afresh
     boosts = [lambda p, i, k=k: bounce_boost(p, i, k) for k in range(4)]
     for n in range(1, 9):
         for p in enumerate_paths(n):
@@ -285,6 +293,70 @@ def test_operators_leave_memoized_sweeps_intact():
                     assert (p.bounce_points(), p.column_heights()) == want, (
                         p.word, i,
                     )
+
+
+STATS = (
+    DyckPath.area,
+    DyckPath.bounce,
+    DyckPath.bounce_points,
+    DyckPath.bounce_composition,
+    DyckPath.to_record,
+    DyckPath.bounce_path,
+)
+
+
+def test_each_path_object_is_swept_at_most_once(monkeypatch):
+    # a path keeps its bounce points in its slot from the first read on,
+    # so no statistic, operator or inverse check sweeps one path twice
+    swept = {}
+    sweep = paths_module._sweep_bounce_points
+
+    def counted(x):
+        # keyed by the row-start tuple, which stays held so that its id
+        # is not reused; no two paths here share one
+        held, count = swept.get(id(x), (x, 0))
+        swept[id(x)] = (held, count + 1)
+        return sweep(x)
+
+    monkeypatch.setattr(paths_module, "_sweep_bounce_points", counted)
+    for n in range(1, 8):
+        for p in enumerate_paths(n):
+            for _ in range(2):
+                for stat in STATS:
+                    stat(p)
+            for i in range(1, n + 1):
+                for op in (shift, unshift, up, down):
+                    q = op(p, i)
+                    if q is not BOTTOM:
+                        for _ in range(2):
+                            for stat in STATS:
+                                stat(q)
+    counts = [count for _, count in swept.values()]
+    assert counts and max(counts) == 1
+
+
+def test_results_are_swept_never_seeded():
+    # an edit carries bounce points along, but a path it returns takes
+    # none of them: it sweeps its own on its first read, so a check of its
+    # points against what the edit expected compares two routes.  unshift
+    # and down return the candidate they verified through the forward
+    # core, which swept it, so their slot holds the candidate's own sweep.
+    for n in range(1, 8):
+        for p in enumerate_paths(n):
+            for i in range(1, n + 1):
+                for q in [shift(p, i), up(p, i)] + [bounce_boost(p, i, k) for k in (1, 2, 3)]:
+                    assert q is BOTTOM or q._pts is None, (p.word, i)
+                for q in (unshift(p, i), down(p, i)):
+                    assert q is BOTTOM or q._pts == reference_sweeps(q.row_starts)[0]
+        for cert in iter_certificates(n):
+            lam, f = cert.partition, cert.count_map
+            area = apply_area_map(lam, f)
+            image = apply_bounce_map(conjugate(lam), f)
+            assert area._pts is None and image._pts is None, cert
+            # a cold memo, so phi builds the image it returns
+            bijection._memo_image.cache_clear()
+            assert phi(area)._pts is None, cert
+            assert phi_inverse(image)._pts is None, cert
 
 
 # -- bounce boost -----------------------------------------------------------------

@@ -22,6 +22,7 @@ from dyckab.paths import (
     iter_area_bounce,
     multiplicity,
 )
+from dyckab.bijection import ExtendedCertificate, build_extended_pair
 from dyckab.extremal import equivalence_class, level_sets
 
 FIGURE_ONE = "NNNEENENEENNEE"
@@ -129,6 +130,29 @@ def test_row_starts_must_be_plain_ints():
     with pytest.raises(ValueError, match="at row 2"):
         DyckPath.from_area_sequence([0, 1.0])
     assert DyckPath((0, 0)).word == "NNEE"
+
+
+@pytest.mark.parametrize(
+    "build, args",
+    [
+        pytest.param(DyckPath.from_composition, (2, (1.0, 1)), id="composition-float"),
+        pytest.param(DyckPath.from_composition, (2, (True, 1)), id="composition-bool"),
+        pytest.param(conjugate, ((5.0, 1),), id="conjugate-float"),
+        pytest.param(conjugate, ((5, True),), id="conjugate-bool"),
+        pytest.param(count_paths_with_bounce_path, (2, (1.0, 1)), id="count-float"),
+        pytest.param(count_paths_with_bounce_path, (2, (True, 1)), id="count-bool"),
+        pytest.param(DyckPath.from_area_sequence, ((0, True),), id="area-sequence-bool"),
+        pytest.param(DyckPath.from_column_heights, ((1.0, 2),), id="column-heights-float"),
+        pytest.param(
+            build_extended_pair, (ExtendedCertificate((2.0, 1), (), ()),), id="extended-pair-float"
+        ),
+    ],
+)
+def test_parts_must_be_plain_ints(build, args):
+    # a float or bool part equals its int twin: it would build or count as
+    # that twin, or fail in arithmetic with TypeError; each is refused
+    with pytest.raises(ValueError):
+        build(*args)
 
 
 # -- statistics ---------------------------------------------------------------
