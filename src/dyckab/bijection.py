@@ -24,17 +24,29 @@ A certificate (lam, f) is valid when f is supported on the bounce index
 set of lam', each block of values is weakly decreasing and strictly
 bounded by the matching distinct part of lam, and the bounce-side image is
 a minimal path.  One rule, `_certified_image`, checks all of this and
-returns that image (None when the pair is no certificate).  A flip round
-trip decodes one pair three times (`classify`, the map, the inverse on
-its image), so the rule keeps a memo of 256 images keyed by the
-certificate the pair would be, `Certificate.make`'s canonical form, and
-builds each image once.  That key is exact for plain count maps, dicts
-from pairs of plain ints to plain ints, since the rule reads them
-through their nonzero entries in sorted order; any other map runs the
-rule uncached.  The flip map
+returns that image (None when the pair is no certificate).  The rule
+keeps a memo of 256 images keyed by the certificate the pair would be,
+`Certificate.make`'s canonical form, so a flip round trip (`classify`,
+the map, the inverse on its image) builds its image once.  That key is
+exact for plain count maps, dicts from pairs of plain ints to plain
+ints, since the rule reads them through their nonzero entries in sorted
+order; any other map runs the rule uncached.  The flip map
 sends the area-side path of a certificate to its bounce-side path, which
 the area-side decode already built; `classify` decides membership of an
-arbitrary path and returns certificates.  Its bounce-side decode refuses
+arbitrary path and returns certificates.
+
+`classify`, `phi` and `phi_inverse` decode each side of a path once per
+round trip: they share the decodes of the last path handed to any of
+them (`_decoded`), matched by the identity of its row-start tuple, each
+side decoded on its first read, with the path's bounce composition read
+once for both.  So `classify(p)` then `phi(p)` or `phi_inverse(p)`
+decodes p once per side, while the inverse on the image decodes that
+fresh path against the rule again, so a round-trip check still compares
+two routes.  The memo holds one row-start tuple and its decodes, so
+memory stays O(1): any other path in between evicts it.  Like the other caches it is module state, and it
+needs no lock: each path gets a fresh entry, so callers in concurrent
+threads may decode a path twice but never read another path's decode.
+An exception is never stored.  The bounce-side decode refuses
 a minimal path before it builds lam and its layouts when the path's count
 map breaks the rule's bound clause, which it reads off the sorted bounce
 composition (`_breaks_bound`): the rule refuses exactly those maps at
@@ -71,6 +83,7 @@ from .paths import (
     _blocks,
     _path,
     _points,
+    _size_cache,
 )
 from .ops import BOTTOM, _boost_run, _check_amount, _checked
 
@@ -273,15 +286,15 @@ def _certified_image(lam, count_map):
     """The bounce-side image of (lam, count_map) when the pair is a
     certificate, else None.
 
-    lam must already be known to be a partition: the callers test it
-    (`is_certificate`, `extended_pair_valid`) or built it as one (the two
-    decoders).  A plain count map (`_plain`) is answered from
-    `_memo_image`, which holds the 256 images last used, keyed by the
-    certificate the pair would be.  The rule reads a plain map only
-    through its nonzero entries, in sorted order, so that key is exact.
-    Any other map runs the rule uncached (`_rule`): a value 4.0 or True,
-    or an index (1.0, 1), equals an int twin as a key, yet the rule raises
-    on it.
+    lam must already be known to be a partition: the callers
+    (`is_certificate`, `extended_pair_valid`) test it.  A plain count map
+    (`_plain`) is answered from `_memo_image`, which holds the 256 images
+    last used, keyed by the certificate the pair would be.  The rule reads
+    a plain map only through its nonzero entries, in sorted order, so that
+    key is exact.  Any other map runs the rule uncached (`_rule`): a value
+    4.0 or True, or an index (1.0, 1), equals an int twin as a key, yet
+    the rule raises on it.  The two decoders build plain maps on a
+    partition and read `_memo_image` with the certificate they return.
     """
     if _plain(count_map):
         return _memo_image(Certificate.make(lam, count_map))
@@ -303,13 +316,14 @@ def _plain(count_map) -> bool:
 
 # Bounded, since callers may decode any number of pairs (about 0.7 KB an
 # entry at n = 12..24: the key, the image and its row starts; 0.18 MB
-# full).  A flip round trip decodes one pair three times (`classify`, the
-# map, the inverse on its image), so it needs its entry for a few calls
-# only: the benchmark's 8,000 seed 1 queries build 682 images here, 678
-# with no bound and 2,041 uncached.  256 also keeps repeats across the
-# checks of `verify --suite all --n 10`, which builds 4,582 images here,
-# 5,314 at 64 entries and 7,609 uncached.  The value is an immutable
-# path or None.
+# full).  A flip round trip decodes one pair twice: `classify` and the map
+# share their decodes of the path (`_decoded`), and the inverse decodes
+# the image afresh.  So it needs its entry for one more call only: the
+# benchmark's 8,000 seed 1 queries build 682 images here, 678 with no
+# bound and 1,396 uncached (2,041 when each call decoded the path
+# afresh).  256 also keeps repeats across the checks of `verify --suite
+# all --n 10`, which builds 4,582 images here, 5,314 at 64 entries and
+# 7,609 uncached.  The value is an immutable path or None.
 @lru_cache(maxsize=256)
 def _memo_image(cert: Certificate):
     """`_rule` on the plain count map whose canonical certificate is
@@ -352,7 +366,7 @@ def is_certificate(lam, count_map) -> bool:
     return is_partition(lam) and _certified_image(lam, count_map) is not None
 
 
-@lru_cache(maxsize=None)
+@_size_cache
 def _certified(n: int) -> tuple:
     """(certificate, area-side path, bounce-side path) for every
     certificate with |lam| = n, built once per n: partitions of n, then
@@ -361,8 +375,6 @@ def _certified(n: int) -> tuple:
     construction, so only the image is checked, by `_minimal_image`
     directly: the stream is cached per n, and passing it through the
     rule's memo would only evict the entries of round trips."""
-    if n < 0:
-        raise ValueError("semilength must be nonnegative")
     out = []
     for lam in partitions(n):
         layout = _layout(lam)
@@ -426,8 +438,9 @@ class Classification(NamedTuple):
         return "neither"
 
 
-def _decode_area_side(path):
-    """(certificate, bounce-side image), or None.
+def _decode_area_side(path, lam):
+    """(certificate, bounce-side image), or None; ``lam`` is the path's
+    bounce composition.
 
     Bounce composition must be a partition lam; floating cells must sit
     exactly in the rows named by the bounce index set of lam', with
@@ -435,7 +448,6 @@ def _decode_area_side(path):
     area sequence minus that of the block path of lam, so stacking them
     on the block path rebuilds the path.
     """
-    lam = path.bounce_composition()
     if not is_partition(lam):
         return None
     layout = _layout(lam)
@@ -453,10 +465,10 @@ def _decode_area_side(path):
                 named += extra
     if named != sum(base) - sum(x):  # a floating cell outside the named rows
         return None
-    image = _certified_image(lam, f)
-    if image is None:
-        return None
-    return Certificate.make(lam, f), image
+    # f maps pairs of plain ints to plain ints, so the memo key is exact
+    cert = Certificate.make(lam, f)
+    image = _memo_image(cert)
+    return None if image is None else (cert, image)
 
 
 def _shortfall_counts(alpha, bar) -> dict:
@@ -504,25 +516,51 @@ def _breaks_bound(mu, f) -> bool:
     return any(f.get((l - j, 1), 0) >= at_least[j] for j in range(1, l))
 
 
-def _decode_bounce_side(path) -> Certificate | None:
-    """Minimal paths only: sort the bounce composition to mu, then each
-    count is the total shortfall of the parts passed over by a moved part
-    (`_shortfall_counts`); the certificate's bounce-side image must be the
-    path itself.  A count map that breaks the rule's bound clause
-    (`_breaks_bound`) is refused before lam = mu' and its layouts are
-    built: `_certified_image` would refuse it at that clause, before any
-    image, so the refusal is exact."""
+def _decode_bounce_side(path, alpha) -> Certificate | None:
+    """Minimal paths only, ``alpha`` being the path's bounce composition:
+    sort it to mu, then each count is the total shortfall of the parts
+    passed over by a moved part (`_shortfall_counts`); the certificate's
+    bounce-side image must be the path itself.  A count map that breaks
+    the rule's bound clause (`_breaks_bound`) is refused before lam = mu'
+    and its layouts are built: `_certified_image` would refuse it at that
+    clause, before any image, so the refusal is exact."""
     if not path.is_minimal():
         return None
-    alpha = path.bounce_composition()
     mu = tuple(sorted(alpha, reverse=True))
     f = _shortfall_counts(alpha, distinct_parts(mu))
     if _breaks_bound(mu, f):
         return None
-    lam = conjugate(mu)
-    if _certified_image(lam, f) != path:
-        return None
-    return Certificate.make(lam, f)
+    # f maps pairs of plain ints to plain ints, so the memo key is exact
+    cert = Certificate.make(conjugate(mu), f)
+    return cert if _memo_image(cert) == path else None
+
+
+_UNDECODED = object()
+_AREA, _BOUNCE = 2, 3  # where an entry of `_last` holds each side's decode
+# [row starts, bounce composition, area-side decode, bounce-side decode]
+# of the path last handed to `classify`, `phi` or `phi_inverse`; a side
+# not decoded yet holds `_UNDECODED`
+_last = [None, (), _UNDECODED, _UNDECODED]
+
+
+def _decoded(path, side):
+    """The decode of ``path`` on ``side`` (`_AREA` or `_BOUNCE`), run at
+    most once while ``path`` is the last path decoded here.  A decode
+    depends on the row starts alone, so the entry is matched by the
+    identity of the path's row-start tuple, and holds that tuple, so no
+    other object can take its id; it keeps neither the path object nor
+    its word and bounce points.  Each path gets a fresh entry and a
+    replaced entry is never written again, so a caller reads only its
+    own path's decodes.  A decoder that raises stores nothing."""
+    global _last
+    entry = _last
+    if entry[0] is not path.row_starts:
+        entry = _last = [path.row_starts, path.bounce_composition(), _UNDECODED, _UNDECODED]
+    got = entry[side]
+    if got is _UNDECODED:
+        decode = _decode_area_side if side == _AREA else _decode_bounce_side
+        got = entry[side] = decode(path, entry[1])
+    return got
 
 
 def classify(path) -> Classification:
@@ -533,21 +571,21 @@ def classify(path) -> Classification:
     side; anything else is in neither.  Minimal block paths of partitions
     belong to both sides (zero count map each way).
     """
-    area = _decode_area_side(path)
-    return Classification(area[0] if area else None, _decode_bounce_side(path))
+    area = _decoded(path, _AREA)
+    return Classification(area[0] if area else None, _decoded(path, _BOUNCE))
 
 
 def phi(path) -> DyckPath:
     """The area-bounce flip: area-side path of a certificate to its
     bounce-side path."""
-    decoded = _decode_area_side(path)
+    decoded = _decoded(path, _AREA)
     if decoded is None:
         raise NotInDomainError(f"{path.word} is not an area-side flip member")
     return decoded[1]
 
 
 def phi_inverse(path) -> DyckPath:
-    cert = _decode_bounce_side(path)
+    cert = _decoded(path, _BOUNCE)
     if cert is None:
         raise NotInDomainError(f"{path.word} is not a bounce-side flip member")
     image = apply_area_map(cert.partition, cert.count_map)
@@ -670,15 +708,16 @@ def _decode_extended(path, bounce_stage_first):
     certificate lives on the conjugate of the sorted parts and whose
     bounce-side image is the stripped path itself.
     """
-    sorted_parts = tuple(sorted(path.bounce_composition(), reverse=True))
+    alpha = path.bounce_composition()
+    sorted_parts = tuple(sorted(alpha, reverse=True))
     carrier = _transplant_floating(path, sorted_parts)
     if carrier is None:
         return None
-    area = _decode_area_side(carrier)
+    area = _decode_area_side(carrier, carrier.bounce_composition())
     if area is None or area[0].partition != sorted_parts:
         return None
-    stripped = path.bounce_path()
-    bounce_cert = _decode_bounce_side(stripped)
+    stripped = path.bounce_path()  # the block path of alpha
+    bounce_cert = _decode_bounce_side(stripped, alpha)
     if bounce_cert is None:
         return None
     if bounce_stage_first:

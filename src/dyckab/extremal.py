@@ -42,6 +42,8 @@ from .paths import (
     _composition,
     _iter_runs,
     _packed,
+    _semilength,
+    _size_cache,
     _sweep_bounce_points,
     _tail_levels,
 )
@@ -67,7 +69,7 @@ ENUMERATION_CAP = 12
 TAIL_ROWS = 4
 
 
-@lru_cache(maxsize=None)
+@_size_cache
 def level_sets(n: int) -> MappingProxyType:
     """Read-only (area, bounce) -> `PathSequence` of the paths at that
     pair, in word order, for n <= ENUMERATION_CAP.  Each level is one
@@ -126,7 +128,7 @@ def level_sets(n: int) -> MappingProxyType:
     return MappingProxyType(out)
 
 
-@lru_cache(maxsize=None)
+@_size_cache
 def ab_level_map(n: int) -> MappingProxyType:
     """Read-only s -> sorted tuple of realized (area, bounce) with
     area + bounce = s."""
@@ -162,11 +164,11 @@ def equivalence_class(path):
 
 
 def min_ab(n: int) -> int:
-    return math.comb(n, 2) - ab_interval_width(n)
+    return math.comb(_semilength(n), 2) - ab_interval_width(n)
 
 
 def max_ab(n: int) -> int:
-    return math.comb(n, 2)
+    return math.comb(_semilength(n), 2)
 
 
 # -- minimal sets ------------------------------------------------------------
@@ -281,6 +283,7 @@ def _witnesses(n: int, s: int) -> MappingProxyType:
 def construct_path(n: int, a: int, b: int):
     """A member of P_n(a, b), or None when the level is empty or the
     walks through level a + b (see `_witnesses`) do not reach (a, b)."""
+    _semilength(n)
     if a < 0 or b < 0:
         return None
     if a + b not in ab_level_map(n):
@@ -332,7 +335,7 @@ def bounce_interval_conjecture(n: int) -> dict:
 def top_levels(n: int) -> dict:
     """Structure of the two largest levels: the top one holds one path per
     split of C(n, 2); every realized split one below is unique."""
-    s = math.comb(n, 2)
+    s = max_ab(n)
     lv = level_sets(n)
     top_keys = ab_level_map(n).get(s, ())
     second_keys = ab_level_map(n).get(s - 1, ())

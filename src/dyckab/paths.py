@@ -56,6 +56,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
+from functools import lru_cache, wraps
 from itertools import accumulate, repeat
 from typing import Iterator
 
@@ -139,6 +140,7 @@ class DyckPath:
         Its bounce path is itself; such paths are exactly the paths with
         no floating cells.
         """
+        _semilength(n)
         alpha = _plain_ints(alpha, "part", "position")
         if any(a < 1 for a in alpha):
             raise ValueError(f"composition parts must be positive: {alpha!r}")
@@ -366,6 +368,33 @@ def _plain_ints(values, what, at) -> tuple:
     return values
 
 
+def _semilength(n) -> int:
+    """``n``, refused with ValueError unless it is a plain int of at least
+    0: a float or bool size equals its int twin, and would count, build or
+    key as that twin.  Every entry that takes a semilength calls it."""
+    if type(n) is not int:
+        raise ValueError(f"semilength {n!r} is not an int")
+    if n < 0:
+        raise ValueError("semilength must be nonnegative")
+    return n
+
+
+def _size_cache(fn):
+    """``fn(n)`` cached per n like `functools.cache`, with n checked by
+    `_semilength` before the lookup: the cache is untyped, so a check
+    inside ``fn`` would not run for a twin of a cached int.  The entry
+    keeps ``cache_info`` and ``cache_clear``."""
+    cached = lru_cache(maxsize=None)(fn)
+
+    @wraps(fn)
+    def entry(n):
+        return cached(_semilength(n))
+
+    entry.cache_info = cached.cache_info
+    entry.cache_clear = cached.cache_clear
+    return entry
+
+
 def _blocks(alpha) -> tuple:
     """Row starts of the block path N^a1 E^a1 N^a2 E^a2 ... of the
     composition ``alpha``, whose parts are known to be positive: the rows
@@ -455,9 +484,7 @@ def _iter_runs(n, rows=1):
     row r updates the carried values of rows r..n-rows by scalars,
     O(n - rows - r) work and no sweep.
     """
-    if n < 0:
-        raise ValueError("semilength must be nonnegative")
-    if n < 2:
+    if _semilength(n) < 2:
         return
     top = (n * (n - 1)) // 2
     m = n - rows
@@ -548,6 +575,7 @@ def iter_area_bounce(n: int) -> Iterator[tuple]:
 
 
 def catalan(n: int) -> int:
+    _semilength(n)
     return math.comb(2 * n, n) // (n + 1)
 
 
@@ -556,9 +584,7 @@ def catalan(n: int) -> int:
 
 def compositions(n: int) -> Iterator[tuple]:
     """All 2^(n-1) compositions of n, parts left to right."""
-    if n < 0:
-        raise ValueError("semilength must be nonnegative")
-    if n == 0:
+    if _semilength(n) == 0:
         yield ()
         return
 
@@ -575,8 +601,7 @@ def compositions(n: int) -> Iterator[tuple]:
 
 def partitions(n: int) -> Iterator[tuple]:
     """All partitions of n, parts weakly decreasing."""
-    if n < 0:
-        raise ValueError("semilength must be nonnegative")
+    _semilength(n)
 
     def rec(m, mx):
         if m == 0:
@@ -641,6 +666,7 @@ def count_paths_with_bounce_path(n: int, alpha) -> int:
     Product over consecutive parts of C(a_{j-1} + a_j - 1, a_j); the
     one-part composition gives the empty product 1.
     """
+    _semilength(n)
     alpha = _plain_ints(alpha, "part", "position")
     if sum(alpha) != n or any(a < 1 for a in alpha):
         raise ValueError(f"{alpha!r} is not a composition of {n}")

@@ -31,7 +31,7 @@ import math
 from functools import lru_cache
 from typing import NamedTuple
 
-from .paths import catalan
+from .paths import _semilength, _size_cache, catalan
 
 
 # Reference values for the distinct-total count at n = 0..19.
@@ -141,7 +141,7 @@ def q_binomial(m: int, k: int) -> tuple:
     return tuple(_unpack(value, nbytes, k * (m - k) + 1))
 
 
-@lru_cache(maxsize=None)
+@_size_cache
 def q_bell(n: int) -> tuple:
     """Johnson's q-analog of the Bell numbers, B_0 = 1 and
 
@@ -169,8 +169,6 @@ def q_bell(n: int) -> tuple:
     j fixed others, so each is at most Bell(m+j+1) <= Bell(n) < 2**w.
     The weight-1 specialization is the Bell number, and the nonzero
     coefficients sit in degrees 0..width(n) with no gaps."""
-    if n < 0:
-        raise ValueError("semilength must be nonnegative")
     nbytes = bell_number(n).bit_length() // 8 + 1
     w = 8 * nbytes
     diagonal = [1]  # diagonal 0: W(0, 0) = B_0
@@ -189,8 +187,7 @@ def q_bell(n: int) -> tuple:
 def bell_number(n: int) -> int:
     """Classical Bell number by the binomial recursion; kept independent
     of q_bell as its cross-check."""
-    if n < 0:
-        raise ValueError("semilength must be nonnegative")
+    _semilength(n)
     values = [1]
     for m in range(1, n + 1):
         values.append(sum(math.comb(m - 1, k) * values[k] for k in range(m)))
@@ -200,9 +197,7 @@ def bell_number(n: int) -> int:
 def _width_table(n: int) -> tuple:
     """(widths, leads) for m = 0..n, bottom-up: widths[m] is the max over
     splits m = k + rest of (k-1)(m-k) + widths[rest], and leads[m] the
-    smallest k attaining it."""
-    if n < 0:
-        raise ValueError("semilength must be nonnegative")
+    smallest k attaining it; n is checked by its cached callers."""
     widths = [0]
     leads = [0]
     for m in range(1, n + 1):
@@ -213,13 +208,13 @@ def _width_table(n: int) -> tuple:
     return widths, leads
 
 
-@lru_cache(maxsize=None)
+@_size_cache
 def ab_interval_width(n: int) -> int:
     """max over splits n = k + rest of (k-1)(n-k) + width(rest)."""
     return _width_table(n)[0][n]
 
 
-@lru_cache(maxsize=None)
+@_size_cache
 def minimizing_composition(n: int) -> tuple:
     """A composition attaining ab_interval_width(n); smallest leading part
     on ties, so the result is deterministic."""
@@ -319,8 +314,7 @@ def qt_catalan(n: int) -> BivariateTable:
     Every coefficient counts paths, so none exceeds Catalan(n) < 2**w, and
     no area exceeds C(n,2): no digit carries and no power of q reaches the
     next power of t.  The table is read back from the digits."""
-    if n < 0:
-        raise ValueError("semilength must be nonnegative")
+    _semilength(n)
     size = math.comb(n, 2) + 1
     nbytes = catalan(n).bit_length() // 8 + 1
     w = 8 * nbytes

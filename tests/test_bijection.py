@@ -1,4 +1,9 @@
-from itertools import product
+import hashlib
+import sys
+import threading
+import time
+from collections import Counter
+from itertools import permutations, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,6 +15,7 @@ from dyckab.paths import (
     compositions,
     conjugate,
     distinct_parts,
+    enumerate_paths,
     partitions,
 )
 from dyckab.ops import BOTTOM, add_area_cell, bounce_boost
@@ -534,7 +540,7 @@ def bounce_side_members(n):
     return {
         p
         for p in (blocks(alpha) for alpha in compositions(n))
-        if _decode_bounce_side(p) is not None
+        if _decode_bounce_side(p, p.bounce_composition()) is not None
     }
 
 
@@ -598,6 +604,149 @@ def test_certificate_serialization():
     assert cert.to_json_dict() == {"lambda": [4, 1, 1], "f": [[1, 1, 2]]}
     assert cert.count_map == {(1, 1): 2}
     assert cert.total == 2
+
+
+# -- the decode memo -----------------------------------------------------------------
+
+
+def counting_decoders(monkeypatch):
+    """Count each decoder's calls per path object, as a Counter keyed by
+    (decoder name, id of the path); the paths stay held, so no id is
+    reused."""
+    counts = Counter()
+    held = []
+    for name in ("_decode_area_side", "_decode_bounce_side"):
+
+        def counted(path, *rest, decode=getattr(bijection, name), name=name):
+            held.append(path)
+            counts[name, id(path)] += 1
+            return decode(path, *rest)
+
+        monkeypatch.setattr(bijection, name, counted)
+    return counts
+
+
+def test_each_round_trip_decodes_a_path_once_per_side(monkeypatch):
+    # classify, then the map and the inverse, on the path and on the
+    # image the map returns, share the decodes of the path last handed in
+    counts = counting_decoders(monkeypatch)
+    for n in range(9):
+        for path in enumerate_paths(n):
+            classify(path)
+            trips = [(outcome(phi, path), phi_inverse), (outcome(phi_inverse, path), phi)]
+            for (how, image, *_), back in trips:
+                if how == "returns":
+                    classify(image)
+                    assert back(image) == path
+    assert counts and max(counts.values()) == 1
+
+
+def test_the_decode_memo_holds_one_path(monkeypatch):
+    # memory stays O(1): another path in between evicts the first
+    counts = counting_decoders(monkeypatch)
+    p, q = blocks((3, 1)), blocks((2, 2))
+    classify(p)
+    classify(q)
+    assert phi(p) == blocks((2, 1, 1))
+    assert counts["_decode_area_side", id(p)] == 2
+    assert counts["_decode_area_side", id(q)] == 1
+
+
+FLIP_CALLS = (classify, phi, phi_inverse)
+
+
+def test_threads_read_only_their_own_decodes(monkeypatch):
+    # each path gets a fresh memo entry, so threads that switch inside a
+    # decode and between calls may decode a path twice but never answer
+    # for another path
+    paths = [p for n in range(5, 8) for p in enumerate_paths(n)]
+
+    def answers(path):
+        out = []
+        for call in FLIP_CALLS:
+            out.append(outcome(call, path))
+            time.sleep(0)  # let another thread run between the calls
+        return out
+
+    want = [answers(DyckPath.from_word(p.word)) for p in paths]
+    for name in ("_decode_area_side", "_decode_bounce_side"):
+
+        def yielding(path, alpha, decode=getattr(bijection, name)):
+            time.sleep(0)
+            return decode(path, alpha)
+
+        monkeypatch.setattr(bijection, name, yielding)
+    got = {}
+
+    def work(k):
+        got[k] = [answers(DyckPath.from_word(p.word)) for p in paths]
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == {k: want for k in range(4)}
+
+
+def assert_answers_do_not_depend_on_call_order(path):
+    # each call on a fresh, equal path object answers alone; in any order
+    # on one object the calls answer the same, raises included.  A parse
+    # builds a fresh row-start tuple, so no two objects share a memo entry
+    def fresh():
+        return DyckPath.from_word(path.word)
+
+    alone = {call: outcome(call, fresh()) for call in FLIP_CALLS}
+    for order in permutations(FLIP_CALLS):
+        shared = fresh()
+        assert [outcome(call, shared) for call in order] == [alone[call] for call in order]
+
+
+def test_flip_answers_do_not_depend_on_call_order_exhaustive():
+    for n in range(10):
+        for path in enumerate_paths(n):
+            assert_answers_do_not_depend_on_call_order(path)
+
+
+@given(dyck_paths(max_n=30))
+def test_flip_answers_do_not_depend_on_call_order_random(path):
+    assert_answers_do_not_depend_on_call_order(path)
+
+
+def flip_outputs(path) -> str:
+    """One line per path: its word, classify kind, both certificates, and
+    the words of phi and phi_inverse, or the error each raises."""
+
+    def cert(c):
+        return "-" if c is None else f"{c.partition}{c.counts}"
+
+    def image(call):
+        try:
+            return call(path).word
+        except NotInDomainError:
+            return "NotInDomainError"
+
+    kind = classify(path)
+    return (
+        f"{path.word};{kind.kind};{cert(kind.area_certificate)};"
+        f"{cert(kind.bounce_certificate)};{image(phi)};{image(phi_inverse)}\n"
+    )
+
+
+def test_flip_outputs_digest():
+    # every answer of classify, phi and phi_inverse for n <= 10, pinned by
+    # sha256 so that later decode work stays exact
+    digest = hashlib.sha256()
+    for n in range(11):
+        for path in enumerate_paths(n):
+            digest.update(flip_outputs(path).encode())
+    assert digest.hexdigest() == "7d5074d0b6ce4efa79db506cfcb568fef31ab6bb135ea63630020ac229786507"
 
 
 # -- the extension -------------------------------------------------------------------

@@ -13,6 +13,7 @@ from dyckab.paths import (
     PathSequence,
     _tail_levels,
     catalan,
+    compositions,
     conjugate,
     count_paths_with_bounce_path,
     distinct_parts,
@@ -21,7 +22,9 @@ from dyckab.paths import (
     is_partition,
     iter_area_bounce,
     multiplicity,
+    partitions,
 )
+from dyckab import bijection, extremal, qbell
 from dyckab.bijection import ExtendedCertificate, build_extended_pair
 from dyckab.extremal import equivalence_class, level_sets
 
@@ -436,6 +439,55 @@ def test_enumerators_reject_negative_semilength():
         for enumerator in (iter_area_bounce, enumerate_paths, enumerate_with_stats):
             with pytest.raises(ValueError, match="semilength must be nonnegative"):
                 next(enumerator(n))
+
+
+# Every entry that takes a semilength, called at n; a generator's call
+# takes its first item.
+SIZE_ENTRIES = {
+    "catalan": catalan,
+    "compositions": lambda n: next(compositions(n)),
+    "partitions": lambda n: next(partitions(n)),
+    "enumerate_paths": lambda n: next(enumerate_paths(n)),
+    "enumerate_with_stats": lambda n: next(enumerate_with_stats(n)),
+    "iter_area_bounce": lambda n: next(iter_area_bounce(n)),
+    "from_composition": lambda n: DyckPath.from_composition(n, (1,) * int(n)),
+    "count_paths_with_bounce_path": lambda n: count_paths_with_bounce_path(n, (1,) * int(n)),
+    "iter_certificates": lambda n: next(bijection.iter_certificates(n)),
+    "flip_sets": bijection.flip_sets,
+    "iter_extended_certificates": lambda n: next(bijection.iter_extended_certificates(n)),
+    "extended_flip_sets": bijection.extended_flip_sets,
+    "level_sets": level_sets,
+    "ab_level_map": extremal.ab_level_map,
+    "min_ab": extremal.min_ab,
+    "max_ab": extremal.max_ab,
+    "bounce_minimal": extremal.bounce_minimal,
+    "area_minimal": extremal.area_minimal,
+    "phi_on_minimal": extremal.phi_on_minimal,
+    "construct_path": lambda n: extremal.construct_path(n, 0, 0),
+    "nonemptiness_symmetry": extremal.nonemptiness_symmetry,
+    "interpolation_report": extremal.interpolation_report,
+    "bounce_interval_conjecture": extremal.bounce_interval_conjecture,
+    "top_levels": extremal.top_levels,
+    "ab_ladder": lambda n: extremal.ab_ladder(n, math.comb(int(n), 2)),
+    "q_bell": qbell.q_bell,
+    "bell_number": qbell.bell_number,
+    "ab_interval_width": qbell.ab_interval_width,
+    "minimizing_composition": qbell.minimizing_composition,
+    "distinct_ab_count": qbell.distinct_ab_count,
+    "qt_catalan": qbell.qt_catalan,
+    "qt_flip_closure": qbell.qt_flip_closure,
+}
+
+
+@pytest.mark.parametrize("size, twin", [(2.0, 2), (True, 1)], ids=["float", "bool"])
+@pytest.mark.parametrize("entry", sorted(SIZE_ENTRIES))
+def test_size_entries_refuse_a_size_that_is_no_int(entry, size, twin):
+    # a float or bool size equals its int twin, as a cache key too, so it
+    # is refused even after the twin's answer is cached
+    call = SIZE_ENTRIES[entry]
+    call(twin)
+    with pytest.raises(ValueError, match=f"semilength {size!r} is not an int"):
+        call(size)
 
 
 # -- counting -------------------------------------------------------------------
