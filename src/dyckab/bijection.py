@@ -23,17 +23,18 @@ would otherwise read its int twin's layout once that is cached.
 A certificate (lam, f) is valid when f is supported on the bounce index
 set of lam', each block of values is weakly decreasing and strictly
 bounded by the matching distinct part of lam, and the bounce-side image is
-a minimal path.  One rule, `_certified_image`, checks all of this and
-returns that image (None when the pair is no certificate).  The rule
-keeps a memo of 256 images keyed by the certificate the pair would be,
-`Certificate.make`'s canonical form, so a flip round trip (`classify`,
-the map, the inverse on its image) builds its image once.  That key is
-exact for plain count maps, dicts from pairs of plain ints to plain
-ints, since the rule reads them through their nonzero entries in sorted
-order; any other map runs the rule uncached.  The flip map
-sends the area-side path of a certificate to its bounce-side path, which
-the area-side decode already built; `classify` decides membership of an
-arbitrary path and returns certificates.
+a minimal path.  One rule, `_rule`, checks all of this and returns that
+image (None when the pair is no certificate); `is_certificate` and
+`extended_pair_valid` run it uncached on the caller's map.  Only the two
+flip decoders read its memo of 256 images (`_memo_image`), keyed by the
+certificate they decode, so a flip round trip (`classify`, the map, the
+inverse on its image) builds its image once.  They build their count
+maps from row starts, dicts from pairs of plain ints to plain ints, so
+the key is exact: the rule reads such a map only through its nonzero
+entries, in sorted order.  The flip map sends the area-side path of a
+certificate to its bounce-side path, which the area-side decode already
+built; `classify` decides membership of an arbitrary path and returns
+certificates.
 
 `classify`, `phi` and `phi_inverse` decode each side of a path once per
 round trip: they share the decodes of the last path handed to any of
@@ -282,38 +283,6 @@ def apply_bounce_map(lam, count_map):
 # -- certificates -----------------------------------------------------------
 
 
-def _certified_image(lam, count_map):
-    """The bounce-side image of (lam, count_map) when the pair is a
-    certificate, else None.
-
-    lam must already be known to be a partition: the callers
-    (`is_certificate`, `extended_pair_valid`) test it.  A plain count map
-    (`_plain`) is answered from `_memo_image`, which holds the 256 images
-    last used, keyed by the certificate the pair would be.  The rule reads
-    a plain map only through its nonzero entries, in sorted order, so that
-    key is exact.  Any other map runs the rule uncached (`_rule`): a value
-    4.0 or True, or an index (1.0, 1), equals an int twin as a key, yet
-    the rule raises on it.  The two decoders build plain maps on a
-    partition and read `_memo_image` with the certificate they return.
-    """
-    if _plain(count_map):
-        return _memo_image(Certificate.make(lam, count_map))
-    return _rule(lam, count_map)
-
-
-def _plain(count_map) -> bool:
-    """Whether count_map is a dict from pairs of plain ints to plain ints
-    (no bool, float or subclass anywhere)."""
-    return type(count_map) is dict and all(
-        type(v) is int
-        and type(index) is tuple
-        and len(index) == 2
-        and type(index[0]) is int
-        and type(index[1]) is int
-        for index, v in count_map.items()
-    )
-
-
 # Bounded, since callers may decode any number of pairs (about 0.7 KB an
 # entry at n = 12..24: the key, the image and its row starts; 0.18 MB
 # full).  A flip round trip decodes one pair twice: `classify` and the map
@@ -326,17 +295,17 @@ def _plain(count_map) -> bool:
 # 7,609 uncached.  The value is an immutable path or None.
 @lru_cache(maxsize=256)
 def _memo_image(cert: Certificate):
-    """`_rule` on the plain count map whose canonical certificate is
-    ``cert``: zeros, wherever they sat, and the dict's order change
-    nothing the rule reads."""
+    """`_rule` on the count map whose canonical certificate is ``cert``,
+    for the two flip decoders, which build such maps of plain ints only."""
     return _rule(cert.partition, cert.count_map)
 
 
 def _rule(lam, count_map):
-    """The certificate rule, uncached: count_map must be supported on the
-    bounce index set of lam', with nonnegative values, weakly decreasing
-    in each block and the first below the matching distinct part of lam;
-    the image, built once, must be a minimal path."""
+    """The certificate rule, uncached, on a lam already known to be a
+    partition: count_map must be supported on the bounce index set of
+    lam', with nonnegative values, weakly decreasing in each block and the
+    first below the matching distinct part of lam; the image, built once,
+    must be a minimal path."""
     if any(v < 0 for v in count_map.values()):
         return None
     layout = _layout(lam)
@@ -363,7 +332,7 @@ def _minimal_image(lamp, count_map):
 def is_certificate(lam, count_map) -> bool:
     """Membership test for the certificate set of n = |lam|."""
     lam = tuple(lam)
-    return is_partition(lam) and _certified_image(lam, count_map) is not None
+    return is_partition(lam) and _rule(lam, count_map) is not None
 
 
 @_size_cache
@@ -465,7 +434,6 @@ def _decode_area_side(path, lam):
                 named += extra
     if named != sum(base) - sum(x):  # a floating cell outside the named rows
         return None
-    # f maps pairs of plain ints to plain ints, so the memo key is exact
     cert = Certificate.make(lam, f)
     image = _memo_image(cert)
     return None if image is None else (cert, image)
@@ -522,15 +490,14 @@ def _decode_bounce_side(path, alpha) -> Certificate | None:
     passed over by a moved part (`_shortfall_counts`); the certificate's
     bounce-side image must be the path itself.  A count map that breaks
     the rule's bound clause (`_breaks_bound`) is refused before lam = mu'
-    and its layouts are built: `_certified_image` would refuse it at that
-    clause, before any image, so the refusal is exact."""
+    and its layouts are built: `_rule` would refuse it at that clause,
+    before any image, so the refusal is exact."""
     if not path.is_minimal():
         return None
     mu = tuple(sorted(alpha, reverse=True))
     f = _shortfall_counts(alpha, distinct_parts(mu))
     if _breaks_bound(mu, f):
         return None
-    # f maps pairs of plain ints to plain ints, so the memo key is exact
     cert = Certificate.make(conjugate(mu), f)
     return cert if _memo_image(cert) == path else None
 
@@ -641,10 +608,10 @@ def extended_pair_valid(lam, f, g) -> bool:
     lam = tuple(lam)
     if not is_partition(lam):
         return False
-    f_image = _certified_image(lam, f)
+    f_image = _rule(lam, f)
     if f_image is None:
         return False
-    g_image = _certified_image(conjugate(lam), g)
+    g_image = _rule(conjugate(lam), g)
     return g_image is not None and _pair_clear(lam, f, g, f_image, g_image)
 
 

@@ -307,6 +307,11 @@ def check_flip_round_trip(sizes):
 
 
 def check_classify_consistency(sizes):
+    """`classify` of every enumerated path agrees with `flip_sets`, side
+    and certificate.  It alone checks that the certificate stream holds
+    every flip member (no other check meets every path of its size), so
+    the stream's completeness is checked over this declared range alone,
+    n <= 9."""
     for n in sizes:
         area_side, bounce_side = bijection.flip_sets(n)
         for p in paths.enumerate_paths(n):

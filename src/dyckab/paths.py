@@ -16,14 +16,13 @@ paths that share their first n - rows rows and differ only in the rest.
 It carries each prefix's area and bounce (see its docstring for the
 equal-run invariant that makes this a scalar update), and its readers
 run through the remaining rows themselves.  `enumerate_paths` yields
-the path objects, `enumerate_with_stats` each with its area and bounce,
-and `iter_area_bounce` the stats alone.  All three take runs of one
-row, so their first path comes at once at any n.  The level table of
-`extremal.level_sets` takes runs of four rows and appends each run from
-`_tail_levels`, the one tail lister: the tails of those rows, grown as
-bytes a row at a time and grouped by one int that says how far they
-move a prefix's level (what they take from the area and add to the
-bounce), one bytes join per group.  `iter_area_bounce` and the level
+the path objects and `iter_area_bounce` their area and bounce alone.
+Both take runs of one row, so their first path comes at once at any n.
+The level table of `extremal.level_sets` takes runs of four rows and
+appends each run from `_tail_levels`, the one tail lister: the tails of
+those rows, grown as bytes a row at a time and grouped by one int that
+says how far they move a prefix's level (what they take from the area
+and add to the bounce), one bytes join per group.  `iter_area_bounce` and the level
 table build neither a path object nor a row-start tuple per path.
 `PathSequence` is how such a table hands its members out: a read-only
 sequence over one bytes blob of row starts, n bytes per path, that
@@ -379,20 +378,28 @@ def _semilength(n) -> int:
     return n
 
 
-def _size_cache(fn):
-    """``fn(n)`` cached per n like `functools.cache`, with n checked by
-    `_semilength` before the lookup: the cache is untyped, so a check
-    inside ``fn`` would not run for a twin of a cached int.  The entry
-    keeps ``cache_info`` and ``cache_clear``."""
-    cached = lru_cache(maxsize=None)(fn)
+def _checked_cache(check):
+    """A decorator: ``fn`` cached like `functools.cache`, its arguments
+    passed to ``check`` before the lookup, since the untyped cache would
+    answer a float or bool twin of a cached int.  The entry keeps
+    ``cache_info`` and ``cache_clear``."""
 
-    @wraps(fn)
-    def entry(n):
-        return cached(_semilength(n))
+    def decorate(fn):
+        cached = lru_cache(maxsize=None)(fn)
 
-    entry.cache_info = cached.cache_info
-    entry.cache_clear = cached.cache_clear
-    return entry
+        @wraps(fn)
+        def entry(*args):
+            check(*args)
+            return cached(*args)
+
+        entry.cache_info = cached.cache_info
+        entry.cache_clear = cached.cache_clear
+        return entry
+
+    return decorate
+
+
+_size_cache = _checked_cache(_semilength)  # fn(n), n checked first
 
 
 def _blocks(alpha) -> tuple:
@@ -445,16 +452,6 @@ def enumerate_paths(n: int) -> Iterator[DyckPath]:
             yield _path(prefix + (v,))
     if n < 2:
         yield _path((0,) * n)
-
-
-def enumerate_with_stats(n: int) -> Iterator[tuple]:
-    """(path, area, bounce) for all Dyck paths of semilength n in word
-    order, the statistics read off the enumerator's carried values."""
-    for prefix, area, bounce, last in _iter_runs(n):
-        for v in range(prefix[-1], n):
-            yield _path(prefix + (v,)), area - v, bounce + (v > last)
-    if n < 2:
-        yield _path((0,) * n), 0, 0
 
 
 def _iter_runs(n, rows=1):

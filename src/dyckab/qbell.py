@@ -28,10 +28,9 @@ distinct totals as well as the nonzero q-Bell coefficients.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import NamedTuple
 
-from .paths import _semilength, _size_cache, catalan
+from .paths import _checked_cache, _plain_ints, _semilength, _size_cache, catalan
 
 
 # Reference values for the distinct-total count at n = 0..19.
@@ -125,13 +124,14 @@ def _q_binomial_at(m: int, k: int, w: int) -> int:
     return num // den
 
 
-@lru_cache(maxsize=None)
+@_checked_cache(lambda m, k: _plain_ints((m, k), "argument", "position"))
 def q_binomial(m: int, k: int) -> tuple:
     """Gaussian polynomial, from the product formula evaluated at one
     power of two and read back by digits (coefficients never exceed
     C(m, k)).  k and m - k share one cache entry.  Out-of-range k gives
     the zero polynomial.  Degree is k(m - k) and every coefficient in
-    between is positive."""
+    between is positive.  An m or k that is not a plain int (4.0, True)
+    is refused with ValueError before the cache is read."""
     if k < 0 or k > m:
         return ()
     if 2 * k > m:

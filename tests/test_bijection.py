@@ -22,8 +22,8 @@ from dyckab.ops import BOTTOM, add_area_cell, bounce_boost
 from dyckab.bijection import (
     _boost,
     _breaks_bound,
-    _certified_image,
     _decode_bounce_side,
+    _rule,
     _shortfall_counts,
     Certificate,
     NotInDomainError,
@@ -337,35 +337,6 @@ def outcome(fn, *args):
         return ("raises", type(exc), str(exc))
 
 
-def uncached(monkeypatch, fn, *args):
-    """outcome(fn, *args) with every rule call bypassing the memo."""
-    with monkeypatch.context() as patched:
-        patched.setattr(bijection, "_certified_image", bijection._rule)
-        return outcome(fn, *args)
-
-
-def public_checks(lam, count_map):
-    """The public calls that reach the rule with (lam, count_map): as f,
-    and as g against the zero f on lam'."""
-    return [
-        (is_certificate, lam, count_map),
-        (extended_pair_valid, lam, count_map, {}),
-        (extended_pair_valid, conjugate(lam), {}, count_map),
-    ]
-
-
-def assert_memo_is_exact(monkeypatch, lam, count_map, twin):
-    """The public checks answer count_map as the uncached rule does, both
-    with an empty memo and with its plain-int twin memoized."""
-    calls = public_checks(lam, count_map)
-    want = [uncached(monkeypatch, *call) for call in calls]
-    twin_want = uncached(monkeypatch, is_certificate, lam, twin)
-    bijection._memo_image.cache_clear()
-    assert [outcome(*call) for call in calls] == want
-    assert outcome(is_certificate, lam, twin) == twin_want
-    assert [outcome(*call) for call in calls] == want
-
-
 # (lam, map, plain-int twin): each map equals its twin as dict keys and
 # values, yet the rule raises on it
 MALFORMED_TWINS = [
@@ -375,48 +346,44 @@ MALFORMED_TWINS = [
 ]
 
 
+def public_checks(lam, count_map):
+    """The public calls that run the rule on (lam, count_map): as f, and
+    as g against the zero f on lam'."""
+    return [
+        (is_certificate, lam, count_map),
+        (extended_pair_valid, lam, count_map, {}),
+        (extended_pair_valid, conjugate(lam), {}, count_map),
+    ]
+
+
 @pytest.mark.parametrize("lam, count_map, twin", MALFORMED_TWINS)
-def test_memo_answers_a_malformed_map_as_the_uncached_rule(monkeypatch, lam, count_map, twin):
-    # the twin is a certificate, so a key that took the map for its twin
-    # would return True where the rule raises
-    assert is_certificate(lam, twin)
-    assert outcome(is_certificate, lam, count_map)[0] == "raises"
-    assert_memo_is_exact(monkeypatch, lam, count_map, twin)
+def test_memo_answers_a_malformed_map_as_the_uncached_rule(lam, count_map, twin):
+    # the twin is a certificate, so a memo that took the map for its twin
+    # would return True where the rule raises on the map itself
+    assert [outcome(*call) for call in public_checks(lam, twin)] == [
+        ("returns", True), ("returns", True), ("returns", False)  # |f| < |g|
+    ]
+    for fn, *args in public_checks(lam, count_map):
+        with pytest.raises(ValueError):
+            fn(*args)
 
 
-@st.composite
-def maps_with_twins(draw):
-    """(lam, count map, plain-int twin): values from -1 up to the largest
-    bound, zeros included, on the bounce index set of lam' and off it;
-    one entry may become a float or bool value or a float index."""
-    n = draw(st.integers(min_value=1, max_value=10))
-    lam = draw(st.sampled_from(list(partitions(n))))
-    indices = bounce_index_set(conjugate(lam)) + [(0, 1), (1, 0), (len(lam) + 1, 1)]
-    top = max(distinct_parts(lam))
-    entries = draw(st.dictionaries(st.sampled_from(indices), st.integers(-1, top), max_size=4))
-    twin = dict(entries)
-    count_map = dict(entries)
-    if entries:
-        (i, r), v = draw(st.sampled_from(sorted(entries.items())))
-        kind = draw(st.sampled_from(["plain", "float value", "bool value", "float index"]))
-        if kind == "float value":
-            count_map[(i, r)] = float(v)
-        elif kind == "bool value" and v in (0, 1):
-            count_map[(i, r)] = bool(v)
-        elif kind == "float index":
-            del count_map[(i, r)]
-            count_map[(float(i), r)] = v
-    return lam, count_map, twin
-
-
-@settings(max_examples=200)
-@given(maps_with_twins())
-@example(((5, 1), {(1, 1): 4.0}, {(1, 1): 4}))
-@example(((5, 1), {(1, 1): 4, (2, 1): 0.0}, {(1, 1): 4, (2, 1): 0}))
-def test_memo_answers_every_map_as_the_uncached_rule(case):
-    lam, count_map, twin = case
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        assert_memo_is_exact(monkeypatch, lam, count_map, twin)
+def test_public_checks_never_read_the_image_memo():
+    # only the flip decoders read `_memo_image`: the public checks answer
+    # every certificate, rejected maps and malformed ones by the rule
+    cases = [(lam, count_map) for lam, count_map, _ in MALFORMED_TWINS]
+    for n in range(1, 7):
+        for cert in iter_certificates(n):
+            lam, f = cert.partition, cert.count_map
+            off = (len(lam) + 1, 1)  # outside the bounce index set of lam'
+            rejected = [{**f, off: 1}, {**f, (1, 1): -1}, {(1, 1): max(lam)}]
+            assert not any(is_certificate(lam, g) for g in rejected)
+            cases += [(lam, f)] + [(lam, g) for g in rejected]
+    before = bijection._memo_image.cache_info()
+    for lam, f in cases:
+        for call in public_checks(lam, f):
+            outcome(*call)
+    assert bijection._memo_image.cache_info() == before
 
 
 @pytest.mark.parametrize("layout_first", [False, True])
@@ -567,7 +534,7 @@ def test_bound_refusal_is_the_rules_bound_clause(alpha):
     broken = any(f.get((i, 1), 0) >= bounds[i - 1] for i in range(1, len(bounds)))
     assert _breaks_bound(mu, f) == broken
     if broken:
-        assert _certified_image(lam, f) is None
+        assert _rule(lam, f) is None
 
 
 def test_classify_bounce_side_example():

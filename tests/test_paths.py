@@ -18,7 +18,6 @@ from dyckab.paths import (
     count_paths_with_bounce_path,
     distinct_parts,
     enumerate_paths,
-    enumerate_with_stats,
     is_partition,
     iter_area_bounce,
     multiplicity,
@@ -336,12 +335,8 @@ def test_ordering_rejects_non_paths():
 def test_iter_area_bounce_agrees_with_objects():
     # in enumeration order, path by path
     for n in range(12):
-        carried = list(iter_area_bounce(n))
-        methods = [(p.area(), p.bounce()) for p in enumerate_paths(n)]
-        assert carried == methods
-        assert list(enumerate_with_stats(n)) == [
-            (p, a, b) for p, (a, b) in zip(enumerate_paths(n), methods)
-        ]
+        for p, carried in zip(enumerate_paths(n), iter_area_bounce(n), strict=True):
+            assert carried == (p.area(), p.bounce())
 
 
 def test_tail_groups_cover_the_tails_in_word_order():
@@ -436,7 +431,7 @@ def test_path_sequence_agrees_with_tuple(paths, part):
 
 def test_enumerators_reject_negative_semilength():
     for n in (-1, -3):
-        for enumerator in (iter_area_bounce, enumerate_paths, enumerate_with_stats):
+        for enumerator in (iter_area_bounce, enumerate_paths):
             with pytest.raises(ValueError, match="semilength must be nonnegative"):
                 next(enumerator(n))
 
@@ -448,7 +443,6 @@ SIZE_ENTRIES = {
     "compositions": lambda n: next(compositions(n)),
     "partitions": lambda n: next(partitions(n)),
     "enumerate_paths": lambda n: next(enumerate_paths(n)),
-    "enumerate_with_stats": lambda n: next(enumerate_with_stats(n)),
     "iter_area_bounce": lambda n: next(iter_area_bounce(n)),
     "from_composition": lambda n: DyckPath.from_composition(n, (1,) * int(n)),
     "count_paths_with_bounce_path": lambda n: count_paths_with_bounce_path(n, (1,) * int(n)),

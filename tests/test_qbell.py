@@ -77,6 +77,16 @@ def test_q_binomial_out_of_range_is_zero():
     assert q_binomial(3, -1) == ()
 
 
+@pytest.mark.parametrize("m, k", [(4.0, 2), (4, 2.0), (True, 1), (5.0, 2), (4, True)])
+def test_q_binomial_refuses_a_twin_of_a_cached_int(m, k):
+    # 4.0 and True equal 4 and 1 as cache keys, so the check runs first
+    assert q_binomial(4, 2) == (1, 1, 2, 1, 1) and q_binomial(1, 1) == (1,)
+    hits = q_binomial.cache_info().hits
+    with pytest.raises(ValueError, match="is not an int"):
+        q_binomial(m, k)
+    assert q_binomial.cache_info().hits == hits
+
+
 def test_q_binomial_degree_and_positivity():
     for m in range(10):
         for k in range(m + 1):
