@@ -388,9 +388,9 @@ def _checked_cache(check):
         cached = lru_cache(maxsize=None)(fn)
 
         @wraps(fn)
-        def entry(*args):
-            check(*args)
-            return cached(*args)
+        def entry(*args, **kwargs):
+            check(*args, **kwargs)
+            return cached(*args, **kwargs)
 
         entry.cache_info = cached.cache_info
         entry.cache_clear = cached.cache_clear
