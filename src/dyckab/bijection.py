@@ -37,25 +37,22 @@ built; `classify` decides membership of an arbitrary path and returns
 certificates.
 
 `classify`, `phi` and `phi_inverse` decode each side of a path once per
-round trip: they share the decodes of the last path handed to any of
-them (`_decoded`), matched by the identity of its row-start tuple, each
-side decoded on its first read, with the path's bounce composition read
-once for both.  So `classify(p)` then `phi(p)` or `phi_inverse(p)`
-decodes p once per side, while the inverse on the image decodes that
-fresh path against the rule again, so a round-trip check still compares
-two routes.  The memo holds one row-start tuple and its decodes, so
-memory stays O(1): any other path in between evicts it.  Like the other caches it is module state, and it
-needs no lock: each path gets a fresh entry, so callers in concurrent
-threads may decode a path twice but never read another path's decode.
-An exception is never stored.  The bounce-side decode refuses
-a minimal path before it builds lam and its layouts when the path's count
-map breaks the rule's bound clause, which it reads off the sorted bounce
-composition (`_breaks_bound`): the rule refuses exactly those maps at
-that clause, before any image, and stays the last word on every other
-map.  The certificates of one n are built once, as an immutable stream of
-(certificate, area-side path, bounce-side path) that `iter_certificates`,
-`flip_sets`, the extended pairing and `qbell.qt_flip_closure` read
-(`_certified`).
+round trip: they share one cache entry (`_decodes`), keyed by the last
+path handed to any of them, which a miss fills with the decodes of both
+sides from one read of the path's bounce composition.  So `classify(p)`
+then `phi(p)` or `phi_inverse(p)` decodes p once per side, while the
+inverse on the image decodes that fresh path against the rule again, so
+a round-trip check still compares two routes.  The bound is one entry,
+since a round trip reads one path at a time, so memory stays O(1).
+
+The bounce-side decode refuses a minimal path before it builds lam and
+its layouts when the path's count map breaks the rule's bound clause,
+which it reads off the sorted bounce composition (`_breaks_bound`): the
+rule refuses exactly those maps at that clause, before any image, and
+stays the last word on every other map.  The certificates of one n are
+built once, as an immutable stream of (certificate, area-side path,
+bounce-side path) that `iter_certificates`, `flip_sets`, the extended
+pairing and `qbell.qt_flip_closure` read (`_certified`).
 
 The extended flip composes both directions: area cells via f on top of
 bounce moves via g (and vice versa), for pairs of certificates whose
@@ -162,8 +159,8 @@ def _point(layout, lam, i, r) -> int:
     """bounce_map(lam, i, r) read off the layout of lam."""
     widths = layout.widths
     if (
-        isinstance(i, int)
-        and isinstance(r, int)
+        type(i) is int
+        and type(r) is int
         and 1 <= i <= len(widths)
         and 1 <= r <= widths[i - 1]
     ):
@@ -175,8 +172,8 @@ def _row(layout, lam, i, r) -> int:
     """row_map(lam, i, r) read off the layout of lam."""
     bounds = layout.bounds
     if (
-        isinstance(i, int)
-        and isinstance(r, int)
+        type(i) is int
+        and type(r) is int
         and 1 <= i < len(bounds)
         and 1 <= r <= bounds[i]
     ):
@@ -229,9 +226,10 @@ def row_map(lam, i, r) -> int:
 def _stack(path, lam, count_map):
     """Stack count_map(i, r) cells in row row_map(lam, i, r) of ``path``.
 
-    Each count is subtracted from that row's start; the result is checked
-    once.  Stacking cell by cell in ascending rows gives the same answer,
-    since each added cell is checked only against the row below it.
+    Each count, a nonnegative plain int, is subtracted from that row's
+    start; the result is checked once.  Stacking cell by cell in ascending
+    rows gives the same answer, since each added cell is checked only
+    against the row below it.
     """
     if path is BOTTOM:
         return BOTTOM
@@ -239,8 +237,8 @@ def _stack(path, lam, count_map):
     x = list(path.row_starts)
     for (i, r), v in count_map.items():
         row = _row(layout, lam, i, r)
-        if v < 0:
-            raise ValueError(f"count {v} at ({i}, {r}) must be nonnegative")
+        if type(v) is not int or v < 0:
+            raise ValueError(f"count {v!r} at ({i}, {r}) must be a nonnegative int")
         x[row - 1] -= v
     return _checked(x)
 
@@ -286,13 +284,13 @@ def apply_bounce_map(lam, count_map):
 # Bounded, since callers may decode any number of pairs (about 0.7 KB an
 # entry at n = 12..24: the key, the image and its row starts; 0.18 MB
 # full).  A flip round trip decodes one pair twice: `classify` and the map
-# share their decodes of the path (`_decoded`), and the inverse decodes
+# share their decodes of the path (`_decodes`), and the inverse decodes
 # the image afresh.  So it needs its entry for one more call only: the
 # benchmark's 8,000 seed 1 queries build 682 images here, 678 with no
-# bound and 1,396 uncached (2,041 when each call decoded the path
+# bound and 1,483 uncached (2,041 when each call decoded the path
 # afresh).  256 also keeps repeats across the checks of `verify --suite
-# all --n 10`, which builds 4,582 images here, 5,314 at 64 entries and
-# 7,609 uncached.  The value is an immutable path or None.
+# all --n 10`, which builds 4,592 images here, 5,438 at 64 entries and
+# 8,170 uncached.  The value is an immutable path or None.
 @lru_cache(maxsize=256)
 def _memo_image(cert: Certificate):
     """`_rule` on the count map whose canonical certificate is ``cert``,
@@ -502,32 +500,13 @@ def _decode_bounce_side(path, alpha) -> Certificate | None:
     return cert if _memo_image(cert) == path else None
 
 
-_UNDECODED = object()
-_AREA, _BOUNCE = 2, 3  # where an entry of `_last` holds each side's decode
-# [row starts, bounce composition, area-side decode, bounce-side decode]
-# of the path last handed to `classify`, `phi` or `phi_inverse`; a side
-# not decoded yet holds `_UNDECODED`
-_last = [None, (), _UNDECODED, _UNDECODED]
-
-
-def _decoded(path, side):
-    """The decode of ``path`` on ``side`` (`_AREA` or `_BOUNCE`), run at
-    most once while ``path`` is the last path decoded here.  A decode
-    depends on the row starts alone, so the entry is matched by the
-    identity of the path's row-start tuple, and holds that tuple, so no
-    other object can take its id; it keeps neither the path object nor
-    its word and bounce points.  Each path gets a fresh entry and a
-    replaced entry is never written again, so a caller reads only its
-    own path's decodes.  A decoder that raises stores nothing."""
-    global _last
-    entry = _last
-    if entry[0] is not path.row_starts:
-        entry = _last = [path.row_starts, path.bounce_composition(), _UNDECODED, _UNDECODED]
-    got = entry[side]
-    if got is _UNDECODED:
-        decode = _decode_area_side if side == _AREA else _decode_bounce_side
-        got = entry[side] = decode(path, entry[1])
-    return got
+# A miss decodes both sides, each of which refuses a path off its side at
+# once.  The key is the path's value, its row starts, which are plain ints
+# on every path (`DyckPath`, `_stack`), so equal paths share one answer.
+@lru_cache(maxsize=1)
+def _decodes(path):
+    alpha = path.bounce_composition()
+    return _decode_area_side(path, alpha), _decode_bounce_side(path, alpha)
 
 
 def classify(path) -> Classification:
@@ -538,21 +517,21 @@ def classify(path) -> Classification:
     side; anything else is in neither.  Minimal block paths of partitions
     belong to both sides (zero count map each way).
     """
-    area = _decoded(path, _AREA)
-    return Classification(area[0] if area else None, _decoded(path, _BOUNCE))
+    area, bounce = _decodes(path)
+    return Classification(area[0] if area else None, bounce)
 
 
 def phi(path) -> DyckPath:
     """The area-bounce flip: area-side path of a certificate to its
     bounce-side path."""
-    decoded = _decoded(path, _AREA)
+    decoded = _decodes(path)[0]
     if decoded is None:
         raise NotInDomainError(f"{path.word} is not an area-side flip member")
     return decoded[1]
 
 
 def phi_inverse(path) -> DyckPath:
-    cert = _decoded(path, _BOUNCE)
+    cert = _decodes(path)[1]
     if cert is None:
         raise NotInDomainError(f"{path.word} is not a bounce-side flip member")
     image = apply_area_map(cert.partition, cert.count_map)

@@ -42,6 +42,7 @@ from .paths import (
     _composition,
     _iter_runs,
     _packed,
+    _plain_ints,
     _semilength,
     _size_cache,
     _sweep_bounce_points,
@@ -282,8 +283,10 @@ def _witnesses(n: int, s: int) -> MappingProxyType:
 
 def construct_path(n: int, a: int, b: int):
     """A member of P_n(a, b), or None when the level is empty or the
-    walks through level a + b (see `_witnesses`) do not reach (a, b)."""
+    walks through level a + b (see `_witnesses`) do not reach (a, b).
+    An a or b that is not a plain int is refused with ValueError."""
     _semilength(n)
+    _plain_ints((a, b), "statistic", "position")
     if a < 0 or b < 0:
         return None
     if a + b not in ab_level_map(n):

@@ -80,18 +80,12 @@ def is_bottom(value) -> bool:
 
 def _check_index(path, i, what):
     n = len(path._x)
-    # a plain int, the common case, skips the isinstance tests; bools and
-    # the other subclasses of int take them
-    if (
-        type(i) is not int and (not isinstance(i, int) or isinstance(i, bool))
-        or i < 1
-        or i > n
-    ):
+    if type(i) is not int or i < 1 or i > n:
         raise ValueError(f"{what} {i!r} out of range 1..{n}")
 
 
 def _check_amount(k):
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
+    if type(k) is not int or k < 0:
         raise ValueError(f"boost amount {k!r} must be a nonnegative int")
 
 

@@ -143,6 +143,11 @@ def test_maps_reject_outside_index_set():
         bounce_map((6, 3, 3, 1), 3, 1)
     with pytest.raises(ValueError):
         row_map((6, 3, 3, 1), 1, 4)
+    # an index is a plain int: True equals 1, and would read index 1
+    with pytest.raises(ValueError):
+        bounce_map((5, 1), True, 1)
+    with pytest.raises(ValueError):
+        row_map((5, 1), 1, True)
 
 
 def test_index_set_containment():
@@ -186,6 +191,11 @@ def test_area_map_rejects_bad_counts():
         apply_area_map((6, 3, 3, 1), {(1, 4): 1})
     with pytest.raises(ValueError):
         apply_area_map(WORKED_PARTITION, {(1, 1): -1})
+    # a count is a plain int: 1.0 would build a path with a float row
+    # start, and True the path of its int twin
+    for v in (1.0, True):
+        with pytest.raises(ValueError, match="nonnegative int"):
+            apply_area_map((3, 1), {(1, 1): v})
 
 
 def test_area_map_zero_is_block_path():
@@ -343,6 +353,7 @@ MALFORMED_TWINS = [
     ((5, 1), {(1, 1): 4.0}, {(1, 1): 4}),  # float value
     ((5, 1), {(1, 1): True}, {(1, 1): 1}),  # bool value
     ((5, 1), {(1.0, 1): 4}, {(1, 1): 4}),  # float index
+    ((5, 1), {(True, 1): 4}, {(1, 1): 4}),  # bool index
 ]
 
 
@@ -579,7 +590,9 @@ def test_certificate_serialization():
 def counting_decoders(monkeypatch):
     """Count each decoder's calls per path object, as a Counter keyed by
     (decoder name, id of the path); the paths stay held, so no id is
-    reused."""
+    reused.  The memo starts empty, so no decode cached before the
+    decoders were replaced goes uncounted."""
+    bijection._decodes.cache_clear()
     counts = Counter()
     held = []
     for name in ("_decode_area_side", "_decode_bounce_side"):
@@ -617,14 +630,29 @@ def test_the_decode_memo_holds_one_path(monkeypatch):
     assert phi(p) == blocks((2, 1, 1))
     assert counts["_decode_area_side", id(p)] == 2
     assert counts["_decode_area_side", id(q)] == 1
+    assert bijection._decodes.cache_info().maxsize == 1
+
+
+def test_equal_paths_share_the_decode_memo(monkeypatch):
+    # the memo is keyed by the path's value, so a fresh, equal object
+    # reads the decodes of the path classified before it
+    counts = counting_decoders(monkeypatch)
+    for p, call in [(blocks((3, 1)), phi), (blocks((2, 1, 1)), phi_inverse)]:
+        counts.clear()
+        classify(p)
+        call(DyckPath.from_word(p.word))
+        assert Counter(name for name, _ in counts.elements()) == {
+            "_decode_area_side": 1,
+            "_decode_bounce_side": 1,
+        }
 
 
 FLIP_CALLS = (classify, phi, phi_inverse)
 
 
 def test_threads_read_only_their_own_decodes(monkeypatch):
-    # each path gets a fresh memo entry, so threads that switch inside a
-    # decode and between calls may decode a path twice but never answer
+    # the memo is keyed by the path's value, so threads that switch inside
+    # a decode and between calls may decode a path twice but never answer
     # for another path
     paths = [p for n in range(5, 8) for p in enumerate_paths(n)]
 
@@ -663,9 +691,10 @@ def test_threads_read_only_their_own_decodes(monkeypatch):
 
 
 def assert_answers_do_not_depend_on_call_order(path):
-    # each call on a fresh, equal path object answers alone; in any order
-    # on one object the calls answer the same, raises included.  A parse
-    # builds a fresh row-start tuple, so no two objects share a memo entry
+    # in any order on one object the calls answer as each does on a fresh,
+    # equal object, raises included.  Equal objects share the memo's entry,
+    # keyed by the path's value, so what it holds must never change an
+    # answer
     def fresh():
         return DyckPath.from_word(path.word)
 

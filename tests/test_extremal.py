@@ -263,6 +263,16 @@ def test_construct_empty_levels():
     assert construct_path(3, -1, 2) is None
 
 
+@pytest.mark.parametrize("a, b", [(2.0, 4), (2, 4.0), (True, 4), ("2", 4)])
+def test_construct_refuses_statistics_that_are_not_ints(a, b):
+    # 2.0 and True equal their int twins as keys, so they would read or
+    # cache witnesses under a twin's level; refused before any table
+    before = _witnesses.cache_info()
+    with pytest.raises(ValueError, match="not an int"):
+        construct_path(5, a, b)
+    assert _witnesses.cache_info() == before
+
+
 def test_witnesses_refuse_mutation():
     def answers():
         return [
