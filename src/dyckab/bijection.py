@@ -80,6 +80,7 @@ from .paths import (
     partitions,
     _blocks,
     _path,
+    _plain_ints,
     _points,
     _size_cache,
 )
@@ -255,10 +256,9 @@ def _boost(path, lam, count_map):
     b = list(_points(path))
     for (i, r) in sorted(count_map):
         k = count_map[(i, r)]
+        _check_amount(k)  # a zero too: 0.0 and False equal 0
         if k:
-            point = _point(layout, lam, i, r)
-            _check_amount(k)
-            x = _boost_run(x, b, point, k)
+            x = _boost_run(x, b, _point(layout, lam, i, r), k)
             if x is None:
                 return BOTTOM
     return _path(x)
@@ -328,8 +328,10 @@ def _minimal_image(lamp, count_map):
 
 
 def is_certificate(lam, count_map) -> bool:
-    """Membership test for the certificate set of n = |lam|."""
+    """Membership test for the certificate set of n = |lam|; a count that
+    is not a plain int is refused with ValueError."""
     lam = tuple(lam)
+    _plain_ints(count_map.values(), "count", "entry")
     return is_partition(lam) and _rule(lam, count_map) is not None
 
 
@@ -583,8 +585,11 @@ def _pair_clear(lam, f, g, f_image, g_image) -> bool:
 
 
 def extended_pair_valid(lam, f, g) -> bool:
-    """Both certificates valid, |f| >= |g|, and row ranges clear both ways."""
+    """Both certificates valid, |f| >= |g|, and row ranges clear both ways;
+    a count that is not a plain int is refused with ValueError."""
     lam = tuple(lam)
+    for counts in (f, g):
+        _plain_ints(counts.values(), "count", "entry")
     if not is_partition(lam):
         return False
     f_image = _rule(lam, f)

@@ -279,12 +279,9 @@ def _dispatch(args) -> int:
     if args.command == "sequence":
         if args.count < 0:
             raise ValueError("count must be nonnegative")
-        fn = (
-            qbell.distinct_ab_count
-            if args.name == "d"
-            else qbell.ab_interval_width
-        )
-        print(" ".join(str(fn(k)) for k in range(args.count)))
+        # one width table for all entries; d(k) = width(k) + 1
+        widths = qbell._width_table(args.count - 1)[0][: args.count]
+        print(" ".join(str(w + (args.name == "d")) for w in widths))
         return 0
 
     if args.command == "verify":

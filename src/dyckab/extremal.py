@@ -90,7 +90,7 @@ def level_sets(n: int) -> MappingProxyType:
     The keys are the enumerator's carried stats, while the rest of this
     module reads the `DyckPath` methods; the first path of each level is
     checked against the methods, so the two routes cannot drift apart."""
-    if n > ENUMERATION_CAP:
+    if _semilength(n) > ENUMERATION_CAP:
         raise ValueError(
             f"semilength {n} is above {ENUMERATION_CAP}, the largest the "
             "level table enumerates (ENUMERATION_CAP)"

@@ -55,7 +55,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
-from functools import lru_cache, wraps
+from functools import lru_cache
 from itertools import accumulate, repeat
 from typing import Iterator
 
@@ -378,28 +378,9 @@ def _semilength(n) -> int:
     return n
 
 
-def _checked_cache(check):
-    """A decorator: ``fn`` cached like `functools.cache`, its arguments
-    passed to ``check`` before the lookup, since the untyped cache would
-    answer a float or bool twin of a cached int.  The entry keeps
-    ``cache_info`` and ``cache_clear``."""
-
-    def decorate(fn):
-        cached = lru_cache(maxsize=None)(fn)
-
-        @wraps(fn)
-        def entry(*args, **kwargs):
-            check(*args, **kwargs)
-            return cached(*args, **kwargs)
-
-        entry.cache_info = cached.cache_info
-        entry.cache_clear = cached.cache_clear
-        return entry
-
-    return decorate
-
-
-_size_cache = _checked_cache(_semilength)  # fn(n), n checked first
+# Keyed by each argument and its type: a float or bool twin (4.0, True) of a
+# cached int misses, and the cached function's body refuses it.
+_size_cache = lru_cache(maxsize=None, typed=True)
 
 
 def _blocks(alpha) -> tuple:

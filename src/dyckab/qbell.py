@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .paths import _checked_cache, _plain_ints, _semilength, _size_cache, catalan
+from .paths import _plain_ints, _semilength, _size_cache, catalan
 
 
 # Reference values for the distinct-total count at n = 0..19.
@@ -124,14 +124,15 @@ def _q_binomial_at(m: int, k: int, w: int) -> int:
     return num // den
 
 
-@_checked_cache(lambda m, k: _plain_ints((m, k), "argument", "position"))
+@_size_cache
 def q_binomial(m: int, k: int) -> tuple:
     """Gaussian polynomial, from the product formula evaluated at one
     power of two and read back by digits (coefficients never exceed
     C(m, k)).  k and m - k share one cache entry.  Out-of-range k gives
     the zero polynomial.  Degree is k(m - k) and every coefficient in
     between is positive.  An m or k that is not a plain int (4.0, True)
-    is refused with ValueError before the cache is read."""
+    misses the typed cache and is refused with ValueError."""
+    _plain_ints((m, k), "argument", "position")
     if k < 0 or k > m:
         return ()
     if 2 * k > m:
@@ -197,7 +198,7 @@ def bell_number(n: int) -> int:
 def _width_table(n: int) -> tuple:
     """(widths, leads) for m = 0..n, bottom-up: widths[m] is the max over
     splits m = k + rest of (k-1)(m-k) + widths[rest], and leads[m] the
-    smallest k attaining it; n is checked by its cached callers."""
+    smallest k attaining it; n is checked by its callers."""
     widths = [0]
     leads = [0]
     for m in range(1, n + 1):
@@ -211,14 +212,14 @@ def _width_table(n: int) -> tuple:
 @_size_cache
 def ab_interval_width(n: int) -> int:
     """max over splits n = k + rest of (k-1)(n-k) + width(rest)."""
-    return _width_table(n)[0][n]
+    return _width_table(_semilength(n))[0][n]
 
 
 @_size_cache
 def minimizing_composition(n: int) -> tuple:
     """A composition attaining ab_interval_width(n); smallest leading part
     on ties, so the result is deterministic."""
-    leads = _width_table(n)[1]
+    leads = _width_table(_semilength(n))[1]
     parts = []
     while n:
         parts.append(leads[n])

@@ -379,6 +379,24 @@ def test_memo_answers_a_malformed_map_as_the_uncached_rule(lam, count_map, twin)
             fn(*args)
 
 
+@pytest.mark.parametrize("zero", [0.0, False, None, "0"], ids=repr)
+def test_a_zero_count_must_be_a_plain_int(zero):
+    # 0.0 and False equal 0, so a zero count skipped unchecked answered as
+    # its int twin; every count is checked, zeros included
+    count_map = {(1, 1): zero}
+    with pytest.raises(ValueError, match="must be a nonnegative int"):
+        apply_bounce_map((2, 1, 1, 1, 1), count_map)
+    for fn, *args in public_checks((5, 1), count_map):
+        with pytest.raises(ValueError, match=f"count {zero!r} at entry 1 is not an int"):
+            fn(*args)
+    # int zeros keep their answers, at any key
+    assert apply_bounce_map((2, 1, 1, 1, 1), {(1, 1): 0}) == blocks((2, 1, 1, 1, 1))
+    for count_map in ({(1, 1): 0}, {(9, 9): 0}):
+        assert [outcome(*call) for call in public_checks((5, 1), count_map)] == [
+            ("returns", True), ("returns", True), ("returns", True)
+        ]
+
+
 def test_public_checks_never_read_the_image_memo():
     # only the flip decoders read `_memo_image`: the public checks answer
     # every certificate, rejected maps and malformed ones by the rule

@@ -327,6 +327,23 @@ def test_sequence_refuses_negative_count(capsys):
     assert (code, out) == (0, "\n")
 
 
+def test_sequence_matches_the_per_size_functions(capsys):
+    for name, fn in (("d", qbell.distinct_ab_count), ("g", qbell.ab_interval_width)):
+        for count in range(61):
+            code, out, _ = run(capsys, "sequence", "--name", name, "--count", str(count))
+            assert (code, out) == (0, " ".join(str(fn(k)) for k in range(count)) + "\n")
+
+
+def test_sequence_builds_one_width_table(capsys):
+    # one table for every entry: a table per entry is cubic in --count
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "sequence", "--name", "d", "--count", "1500")
+    assert time.perf_counter() - start < 5.0
+    values = out.split()
+    assert code == 0 and len(values) == 1500
+    assert values[-1] == str(qbell.distinct_ab_count(1499))
+
+
 def test_verify_subcommand(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "statistics", "--n", "6")
     assert code == 0

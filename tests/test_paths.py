@@ -476,12 +476,40 @@ SIZE_ENTRIES = {
 @pytest.mark.parametrize("size, twin", [(2.0, 2), (True, 1)], ids=["float", "bool"])
 @pytest.mark.parametrize("entry", sorted(SIZE_ENTRIES))
 def test_size_entries_refuse_a_size_that_is_no_int(entry, size, twin):
-    # a float or bool size equals its int twin, as a cache key too, so it
-    # is refused even after the twin's answer is cached
+    # a float or bool size equals its int twin, so it is refused even
+    # after the twin's answer is cached
     call = SIZE_ENTRIES[entry]
     call(twin)
     with pytest.raises(ValueError, match=f"semilength {size!r} is not an int"):
         call(size)
+
+
+# The size caches, each with the int arguments of one cached call.
+SIZE_CACHES = {
+    "level_sets": (level_sets, (1,)),
+    "ab_level_map": (extremal.ab_level_map, (1,)),
+    "q_bell": (qbell.q_bell, (1,)),
+    "ab_interval_width": (qbell.ab_interval_width, (1,)),
+    "minimizing_composition": (qbell.minimizing_composition, (1,)),
+    "_certified": (bijection._certified, (1,)),
+    "q_binomial": (qbell.q_binomial, (1, 1)),
+}
+
+
+@pytest.mark.parametrize("twin", [1.0, True], ids=["float", "bool"])
+@pytest.mark.parametrize("entry", sorted(SIZE_CACHES))
+def test_size_caches_key_each_argument_with_its_type(entry, twin):
+    # a twin of a cached int misses the typed cache, and the body refuses
+    # it: no hit, and no entry stored
+    fn, args = SIZE_CACHES[entry]
+    assert fn.cache_parameters()["typed"] is True
+    fn(*args)
+    before = fn.cache_info()
+    with pytest.raises(ValueError, match=f"{twin!r} .*is not an int"):
+        fn(twin, *args[1:])
+    after = fn.cache_info()
+    assert (after.hits, after.currsize) == (before.hits, before.currsize)
+    assert after.misses == before.misses + 1
 
 
 # -- counting -------------------------------------------------------------------

@@ -79,7 +79,7 @@ def test_q_binomial_out_of_range_is_zero():
 
 @pytest.mark.parametrize("m, k", [(4.0, 2), (4, 2.0), (True, 1), (5.0, 2), (4, True)])
 def test_q_binomial_refuses_a_twin_of_a_cached_int(m, k):
-    # 4.0 and True equal 4 and 1 as cache keys, so the check runs first
+    # 4.0 and True equal 4 and 1, so the typed cache keeps them apart
     assert q_binomial(4, 2) == (1, 1, 2, 1, 1) and q_binomial(1, 1) == (1,)
     hits = q_binomial.cache_info().hits
     with pytest.raises(ValueError, match="is not an int"):
