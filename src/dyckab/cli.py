@@ -21,6 +21,11 @@ from .paths import DyckPath, enumerate_paths
 # table, which refuses larger n with a ValueError (exit 2 here).
 ENUMERATION_CAP = extremal.ENUMERATION_CAP
 
+# Largest `sequence --count`: the width table is quadratic in the count,
+# and 4,000 entries take about 1 s wall in a fresh process (0.3 s at 2,000,
+# 3.6 s at 8,000; 2-core Xeon, Python 3.11).
+SEQUENCE_CAP = 4000
+
 
 def render(path, show_bounce=False, show_floating=False) -> str:
     """ASCII picture: row n first, one glyph per cell.
@@ -167,7 +172,9 @@ def main(argv=None) -> int:
     p = sub.add_parser("qbell", help="q-Bell polynomial")
     p.add_argument("--n", type=int, required=True)
 
-    p = sub.add_parser("sequence", help="distinct-total or width sequence")
+    p = sub.add_parser(
+        "sequence", help=f"distinct-total or width sequence (count <= {SEQUENCE_CAP})"
+    )
     p.add_argument("--name", choices=["d", "g"], required=True)
     p.add_argument("--count", type=int, required=True)
 
@@ -279,6 +286,11 @@ def _dispatch(args) -> int:
     if args.command == "sequence":
         if args.count < 0:
             raise ValueError("count must be nonnegative")
+        if args.count > SEQUENCE_CAP:
+            raise ValueError(
+                f"count {args.count} is above {SEQUENCE_CAP}, the largest "
+                "`sequence` builds (SEQUENCE_CAP)"
+            )
         # one width table for all entries; d(k) = width(k) + 1
         widths = qbell._width_table(args.count - 1)[0][: args.count]
         print(" ".join(str(w + (args.name == "d")) for w in widths))

@@ -11,12 +11,16 @@ column c is h_c = bisect_left(x, c), the number of rows that start left
 of c; bounce points come from `paths._points`, which sweeps a path once
 and keeps them on it.  Where a test on the input shows that the result
 would be invalid, `up`, `unshift` and `shift` return BOTTOM before they
-edit, each refusal argued exact beside its test.  `shift` and `up` are the BOTTOM test and
-the index check, then a private core on the path: `_shift`,
-whose tests imply a valid result, and `_up_edit`, the raw edit (None
-where `up` refuses before editing), which `up` checks.  The inverses
-run that core forward on the candidate they build, at the index already
-checked.  `unshift` builds its candidate unchecked, valid by
+edit, and `unshift` and `down` before they build a candidate that is no
+preimage, each refusal argued exact beside its test.  The inverses rest
+on the image lemma: no image of `shift` or `up` at i has a row that
+starts at column b_i + 1, since each moves every row at its own b_i
+(b_i + 1 of the image) left and raises no row past b_i.  `shift` and
+`up` are the BOTTOM test and the index check, then a private core on the
+path: `_shift`, whose tests imply a valid result, and `_up_edit`, the raw
+edit (None where `up` refuses before editing), which `up` checks.  The
+inverses run that core forward on the candidate they build, at the index
+already checked.  `unshift` builds its candidate unchecked, valid by
 construction (argued beside the edit); `down` checks its candidate and
 compares the raw edit with the input's row starts, since an edit equal
 to a valid tuple is valid.  So the check is the last word on every `up`
@@ -176,7 +180,9 @@ def unshift(path, i):
     start c + 1; it is verified by applying shift's core, `_shift`,
     forward at the index already checked.  The candidate is not built
     when s >= b_{i+1} - c: its first moved row would then be row c + 1 or
-    lower and start above the diagonal.  A candidate that is built is
+    lower and start above the diagonal.  Nor is it built for an input
+    that no shift gives: one whose rows b_{i+1} - s + 1 .. b_{i+1} do not
+    all start at c, or with a row at c + 1.  A candidate that is built is
     valid by construction, so the forward `_shift` is its one test.
     """
     if path is BOTTOM:
@@ -187,7 +193,7 @@ def unshift(path, i):
     m = len(b) - 1
     if i >= m:
         return BOTTOM
-    c = b[i]
+    c, nxt = b[i], b[i + 1]
     if not (x[c - 1] <= b[i - 1] <= x[c]):
         return BOTTOM
     s = x[c] - b[i - 1]
@@ -197,10 +203,14 @@ def unshift(path, i):
     # or right of x_c and at or left of x_{c+1}, so of row c + 2 moved or
     # not; every row up to b_{i+1} starts at or left of c, every row after
     # it right of c (b_{i+1} = bisect_right(x, c)).
-    t = b[i + 1] - s
+    t = nxt - s
     if s < 1 or t <= c:
         return BOTTOM
-    candidate = _path(x[:c] + (b[i - 1],) + x[c + 1 : t] + (c + 1,) * s + x[b[i + 1] :])
+    # `shift` leaves the s rows it moves at c, and no image has a row at
+    # c + 1 (the image lemma).
+    if x[t] != c or (nxt < len(x) and x[nxt] == c + 1):
+        return BOTTOM
+    candidate = _path(x[:c] + (b[i - 1],) + x[c + 1 : t] + (c + 1,) * s + x[nxt:])
     if _shift(candidate, i) != path:
         return BOTTOM
     return candidate
@@ -348,7 +358,10 @@ def down(path, i):
     Rebuilds the unique candidate preimage (un-extend the rows below
     b_{i+1}, restore the cut columns at the corner), checks it, and
     accepts it only when up's raw edit, `_up_edit`, maps it to the input's
-    row starts, so up/down are mutually inverse by construction.
+    row starts, so up/down are mutually inverse by construction.  The
+    candidate is not built for an input that no `up` gives: one with a
+    row at c + 1 (c = b_i), or whose rows c + 1 .. c + beta_1 reach the
+    rows below b_{i+1} or do not all start where row c + 1 does.
     """
     if path is BOTTOM:
         return BOTTOM
@@ -359,27 +372,28 @@ def down(path, i):
     m = len(b) - 1
     if i >= m:
         return BOTTOM
-    c = b[i]
+    c, nxt = b[i], b[i + 1]
     u = x[c] - b[i - 1] - 1
-    if u < 0:
+    # No image has a row at c + 1 (the image lemma).
+    if u < 0 or (nxt < n and x[nxt] == c + 1):
         return BOTTOM
-    xp = list(x)
-    beta = []
-    # rows b_{i+1} - u + 1 .. b_{i+1}, all in 3..n, as u < c < b_{i+1}
-    for j in range(1, u + 1):
-        r = b[i + 1] - u + j
-        amount = (c + 1) - x[r - 1]
-        if amount < 1:
+    # `up` raised rows c + 1 .. c + beta_1 of its input to its cut x_{c+1},
+    # left of its b_i = c + 1, so they lie below the beta rows lo + 1 .. nxt
+    # (which started at c + 1) and start at x_{c+1}.
+    lo = nxt - u
+    top = c
+    if u:
+        top += c + 1 - x[lo]
+        if top > lo or x[top - 1] != x[c]:
             return BOTTOM
-        beta.append(amount)
-        xp[r - 1] = c + 1
-    top = c + (beta[0] if beta else 0)
-    if top > n:
-        return BOTTOM
+    xp = list(x)
+    xp[lo:nxt] = [c + 1] * u
     xp[c] = b[i - 1]
+    # Row c + 1 + t starts at b_{i-1} + 1 plus the number of j with
+    # beta_j = c + 1 - x_{lo+j} <= t, the beta rows that start at or right
+    # of c + 1 - t (beta falls as j rises).
     for r in range(c + 2, top + 1):
-        t = r - (c + 1)
-        xp[r - 1] = b[i - 1] + 1 + sum(1 for v in beta if v <= t)
+        xp[r - 1] = b[i - 1] + 1 + nxt - bisect_left(x, 2 * c + 2 - r, lo, nxt)
     candidate = _checked(xp)
     if candidate is BOTTOM or _up_edit(candidate, i) != x:
         return BOTTOM
@@ -394,21 +408,22 @@ def existence_scan_down(path, i):
     that row b_i + 1 holds exactly b_i - b_{i-1} - 1 cells.
 
     Returns None when the hypothesis fails.  Forward scan: accept the
-    first j with h(b_j + 2) == b_{j+1}, falling back to m - 1.
+    first j with h(b_j + 2) == b_{j+1}, falling back to m - 1.  It reads
+    one row start and bisects for the heights it tests.
     """
     if path is BOTTOM:
         return None
     _check_index(path, i, "bounce index")
-    b = path.bounce_points()
+    x = path._x
+    b = _points(path)
     m = len(b) - 1
     if i > m - 1:
         return None
-    a = path.area_sequence()
-    if b[i] + 1 > path.n or a[b[i]] != b[i] - b[i - 1] - 1:
+    # row b_i + 1 (b_i < n, as i < m) holds b_i - x_{b_i + 1} cells
+    if x[b[i]] != b[i - 1] + 1:
         return None
-    h = path.column_heights()
     for j in range(i, m - 1):
-        if h[b[j] + 2 - 1] == b[j + 1]:
+        if bisect_left(x, b[j] + 2) == b[j + 1]:
             return j
     return m - 1
 
@@ -418,19 +433,20 @@ def existence_scan_up(path, i):
     column b_i is filled to height b_{i+1}.
 
     Returns None when the hypothesis fails.  Backward scan: accept the
-    first j whose corner touches, falling back to 1.
+    first j whose corner touches, falling back to 1.  It bisects for the
+    heights it tests.
     """
     if path is BOTTOM:
         return None
     _check_index(path, i, "bounce index")
-    b = path.bounce_points()
+    x = path._x
+    b = _points(path)
     m = len(b) - 1
     if i > m - 1:
         return None
-    h = path.column_heights()
-    if h[b[i] - 1] != b[i + 1]:
+    if bisect_left(x, b[i]) != b[i + 1]:
         return None
     for j in range(i, 0, -1):
-        if j == 1 or h[b[j - 1] - 1] < b[j]:
+        if j == 1 or bisect_left(x, b[j - 1]) < b[j]:
             return j
     return 1

@@ -28,6 +28,7 @@ distinct totals as well as the nonzero q-Bell coefficients.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import NamedTuple
 
 from .paths import _plain_ints, _semilength, _size_cache, catalan
@@ -195,6 +196,10 @@ def bell_number(n: int) -> int:
     return values[n]
 
 
+# The last table only: `ab_interval_width(n)` and `minimizing_composition(n)`
+# ask for the same n in turn, and each build is quadratic in n, so one
+# entry shares it without keeping a table per n.
+@lru_cache(maxsize=1)
 def _width_table(n: int) -> tuple:
     """(widths, leads) for m = 0..n, bottom-up: widths[m] is the max over
     splits m = k + rest of (k-1)(m-k) + widths[rest], and leads[m] the
@@ -206,7 +211,7 @@ def _width_table(n: int) -> tuple:
         best = max(values)
         widths.append(best)
         leads.append(values.index(best) + 1)
-    return widths, leads
+    return tuple(widths), tuple(leads)
 
 
 @_size_cache

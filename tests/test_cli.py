@@ -12,7 +12,13 @@ from hypothesis import strategies as st
 
 import dyckab
 from dyckab import qbell
-from dyckab.cli import ENUMERATION_CAP, apply_operator_string, main, render
+from dyckab.cli import (
+    ENUMERATION_CAP,
+    SEQUENCE_CAP,
+    apply_operator_string,
+    main,
+    render,
+)
 from dyckab.extremal import level_sets
 from dyckab.ops import BOTTOM
 from dyckab.paths import DyckPath, catalan
@@ -344,6 +350,23 @@ def test_sequence_builds_one_width_table(capsys):
     assert values[-1] == str(qbell.distinct_ab_count(1499))
 
 
+def test_sequence_refuses_a_count_above_the_cap_at_once(capsys):
+    # the width table is quadratic in the count: a larger count is refused
+    # before any table is built
+    built = qbell._width_table.cache_info().misses
+    start = time.perf_counter()
+    for name in ("d", "g"):
+        for count in (SEQUENCE_CAP + 1, 10**9):
+            code, out, err = run(capsys, "sequence", "--name", name, "--count", str(count))
+            assert (code, out) == (2, "")
+            assert err == (
+                f"error: count {count} is above {SEQUENCE_CAP}, the largest "
+                "`sequence` builds (SEQUENCE_CAP)\n"
+            )
+    assert time.perf_counter() - start < 1.0
+    assert qbell._width_table.cache_info().misses == built
+
+
 def test_verify_subcommand(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "statistics", "--n", "6")
     assert code == 0
@@ -475,7 +498,8 @@ INTEGER_ARGVS = {
     "qbell": st.builds(lambda n: ["qbell", "--n", n], st.integers(-3, 80)),
     "sequence": st.builds(
         lambda name, count: ["sequence", "--name", name, "--count", count],
-        st.sampled_from(["d", "g"]), st.integers(-3, 80),
+        st.sampled_from(["d", "g"]),
+        st.integers(-3, 80) | st.sampled_from([SEQUENCE_CAP + 1, 10**6]),
     ),
     "verify": st.builds(
         lambda n: ["verify", "--suite", "statistics", "--n", n], st.integers(-3, 3)
@@ -491,5 +515,5 @@ def test_integer_arguments_answer_or_fail_in_one_line(verb, data):
     code = answer_or_fail_in_one_line(argv)
     if verb == "minimal" and int(argv[2]) > ENUMERATION_CAP:
         assert code == 2
-    if verb == "sequence" and int(argv[4]) < 0:
+    if verb == "sequence" and not 0 <= int(argv[4]) <= SEQUENCE_CAP:
         assert code == 2

@@ -520,13 +520,40 @@ def test_inverses_return_exactly_the_preimage_exhaustive():
 @settings(max_examples=100, deadline=None)
 def test_inverse_results_are_valid_preimages_random(q):
     # `unshift` builds its candidates unchecked and `down` compares a raw
-    # edit: every result must still pass the constructor's check
+    # edit: every result must still pass the constructor's check; and the
+    # inverses refuse before they build a candidate, so every forward image
+    # must come back, past the exhaustive range too
     for i in range(1, q.n + 1):
         for forward, inverse in ((shift, unshift), (up, down)):
             p = inverse(q, i)
             if p is not BOTTOM:
                 assert DyckPath(p.row_starts) == p
                 assert forward(p, i) == q
+            image = forward(q, i)
+            if image is not BOTTOM:
+                assert inverse(image, i) == q, (forward.__name__, q.word, i)
+
+
+def test_inverses_build_no_candidate_they_throw_away(monkeypatch):
+    # `unshift` runs `_shift` and `down` runs `_checked` once per candidate
+    # it builds; each refusal before the candidate is exact, and together
+    # they leave no candidate to refuse after it over the n <= 9 paths
+    built = {unshift: 0, down: 0}
+    for op, name in ((unshift, "_shift"), (down, "_checked")):
+        core = getattr(ops_module, name)
+
+        def counted(*args, op=op, core=core):
+            built[op] += 1
+            return core(*args)
+
+        monkeypatch.setattr(ops_module, name, counted)
+    kept = {unshift: 0, down: 0}
+    for n in range(1, 10):
+        for q in enumerate_paths(n):
+            for i in range(1, n + 1):
+                for op in kept:
+                    kept[op] += op(q, i) is not BOTTOM
+    assert {op: built[op] - kept[op] for op in built} == {unshift: 0, down: 0}
 
 
 def test_each_operator_call_scans_row_starts_at_most_once(monkeypatch):
@@ -594,6 +621,32 @@ def test_scan_up_immediate_case():
     assert p.column_heights()[1] == p.bounce_points()[2]
     assert existence_scan_up(p, 1) == 1
     assert up(p, 1) == w("NENNEE")
+
+
+# sha256 over the outcome lines of `scan_outcomes`, computed with the scans
+# as they stood before they bisected for their heights
+PINNED_SCAN_OUTCOMES = "c8684e19bbe7dfe155c338e79891775c75242c7bbb0c98aabd9142ef85b24eaa"
+
+
+def scan_outcomes(max_n):
+    """One line per scan call: the index, None, or the exception's type and
+    message; both scans on every path with n <= max_n, at every i in
+    0..n+1 and at True and 1.0."""
+    for n in range(max_n + 1):
+        for p in enumerate_paths(n):
+            for i in [*range(n + 2), True, 1.0]:
+                for scan in (existence_scan_down, existence_scan_up):
+                    try:
+                        yield repr(scan(p, i))
+                    except Exception as exc:
+                        yield f"{type(exc).__name__}: {exc}"
+
+
+def test_scan_outcomes_are_pinned():
+    digest = hashlib.sha256()
+    for line in scan_outcomes(8):
+        digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == PINNED_SCAN_OUTCOMES
 
 
 # -- pinned outcomes -----------------------------------------------------------------

@@ -10,6 +10,7 @@ from dyckab.paths import catalan
 from dyckab.qbell import (
     DISTINCT_AB_FIRST_TWENTY,
     BivariateTable,
+    _width_table,
     ab_interval_width,
     bell_number,
     distinct_ab_count,
@@ -195,6 +196,23 @@ def test_minimizing_composition():
             pos += part
             total += (part - 1) * (n - pos)
         assert total == ab_interval_width(n)
+
+
+def test_width_entries_share_one_table_build():
+    # the pair reads one build of the quadratic table, and only the last
+    # table is kept
+    caches = (ab_interval_width, minimizing_composition, _width_table)
+    for cache in caches:
+        cache.cache_clear()
+    try:
+        total = sum(minimizing_composition(1234))
+        assert ab_interval_width(1234) == _width_table(1234)[0][-1]
+        info = _width_table.cache_info()
+        assert (total, info.misses, info.hits, info.currsize) == (1234, 1, 2, 1)
+        assert _width_table.cache_parameters()["maxsize"] == 1
+    finally:
+        for cache in caches:
+            cache.cache_clear()
 
 
 def test_distinct_ab_reference_sequence():
