@@ -82,9 +82,10 @@ from .paths import (
     _path,
     _plain_ints,
     _points,
+    _row_starts_ok,
     _size_cache,
 )
-from .ops import BOTTOM, _boost_run, _check_amount, _checked
+from .ops import BOTTOM, _boost_run, _check_amount
 
 
 class NotInDomainError(ValueError):
@@ -222,6 +223,12 @@ def row_map(lam, i, r) -> int:
 
 
 # -- the two operator bundles ----------------------------------------------
+
+
+def _checked(x):
+    """The path with row starts ``x``, or BOTTOM when they are invalid."""
+    x = tuple(x)
+    return _path(x) if _row_starts_ok(x)[0] else BOTTOM
 
 
 def _stack(path, lam, count_map):

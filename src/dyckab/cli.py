@@ -72,7 +72,8 @@ def apply_operator_string(path, spec: str):
     """Apply a comma-separated operator word left to right.
 
     Tokens: A4, C3^-1, S1, S2^-1, U2, D1, B1:2 (bounce boost i=1, k=2);
-    ^p repeats, ^-p applies the inverse p times (A/C/S only).
+    ^p repeats, ^-p applies the inverse p times (every letter but B;
+    U1^-1 runs down, D1^-1 runs up).
     """
     cur = path
     for token in spec.split(","):

@@ -6,32 +6,30 @@ outside 1..n are usage errors (ValueError), kept distinct from the semantic
 failure BOTTOM.
 
 Each operator is one edit of the row starts x (x_r is the start of row r,
-rows 1-based) and scans a row-start tuple at most once.  The height of
-column c is h_c = bisect_left(x, c), the number of rows that start left
-of c; bounce points come from `paths._points`, which sweeps a path once
-and keeps them on it.  Where a test on the input shows that the result
-would be invalid, `up`, `unshift` and `shift` return BOTTOM before they
-edit, and `unshift` and `down` before they build a candidate that is no
-preimage, each refusal argued exact beside its test.  The inverses rest
-on the image lemma: no image of `shift` or `up` at i has a row that
-starts at column b_i + 1, since each moves every row at its own b_i
-(b_i + 1 of the image) left and raises no row past b_i.  `shift` and
-`up` are the BOTTOM test and the index check, then a private core on the
-path: `_shift`, whose tests imply a valid result, and `_up_edit`, the raw
-edit (None where `up` refuses before editing), which `up` checks.  The
-inverses run that core forward on the candidate they build, at the index
-already checked.  `unshift` builds its candidate unchecked, valid by
-construction (argued beside the edit); `down` checks its candidate and
-compares the raw edit with the input's row starts, since an edit equal
-to a valid tuple is valid.  So the check is the last word on every `up`
-result and `down` candidate.  `_shift_run`, the one shift rule, maps a
-row-start tuple and its bounce points to the row starts after one shift
-or None, and edits neither.  `_shift` is one call of it; a boost is a
-sequence of such unit shifts, planned and applied by `_boost_run`, and
-the flip's bounce map (`bijection._boost`) makes one per count.  The
-bounce points these carry stay theirs: a path an operator builds sweeps
-its own on its first read (`unshift` and `down` read their candidate's
-as they verify it).
+rows 1-based) and builds its result valid by construction: no call scans
+a row-start tuple for validity.  The height of column c is
+h_c = bisect_left(x, c), the number of rows that start left of c; bounce
+points come from `paths._points`, which sweeps a path once and keeps
+them on it.  Where a test on the input shows that the result would be
+invalid, or that the input is no image, an operator returns BOTTOM
+before it edits or builds a candidate; each refusal is argued exact
+beside its test, and each edit that passes them argued valid.  `shift`
+and `up` are the BOTTOM test and the index check, then a private core
+on the row starts: `_shift_run`, the one shift rule, and `_up_edit`,
+`up`'s edit or None.  Both inverses have one shape: a prelude they
+share, `_image_at`, refuses where i >= m and where the input breaks the
+image lemma (no image of `shift` or `up` at i has a row that starts at
+column b_i + 1, since each moves every row at its own b_i, which is
+b_i + 1 of the image, left and raises no row past b_i); then O(1)
+refusals of their own, a candidate built unchecked, and one compare of
+the forward core's row starts on the candidate, at the index already
+checked, with the input's.  `_shift_run` maps a row-start tuple and its
+bounce points to the row starts after one shift or None, and edits
+neither; a boost is a sequence of such unit shifts, planned and applied
+by `_boost_run`, and the flip's bounce map (`bijection._boost`) makes
+one per count.  The bounce points these carry stay theirs: a path an
+operator builds sweeps its own on its first read (`unshift` and `down`
+read their candidate's as they verify it).
 
 Cell operators:
   add_area_cell(p, r)      one cell to the left of the path in row r:
@@ -55,7 +53,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
-from .paths import _path, _points, _row_starts_ok
+from .paths import _path, _points
 
 
 class Bottom:
@@ -93,10 +91,23 @@ def _check_amount(k):
         raise ValueError(f"boost amount {k!r} must be a nonnegative int")
 
 
-def _checked(x):
-    """The path with row starts ``x``, or BOTTOM when they are invalid."""
-    x = tuple(x)
-    return _path(x) if _row_starts_ok(x)[0] else BOTTOM
+def _image_at(path, i):
+    """(x, b, c, nxt) for an inverse of `shift` or `up` at bounce index
+    ``i``: the row starts x and bounce points b of ``path``, c = b_i and
+    nxt = b_{i+1}.  None where no preimage exists: ``path`` is BOTTOM,
+    i >= m, or ``path`` has a row at c + 1, which no image has (the image
+    lemma).  Raises ValueError for an index out of range."""
+    if path is BOTTOM:
+        return None
+    _check_index(path, i, "bounce index")
+    x = path._x
+    b = _points(path)
+    if i >= len(b) - 1:
+        return None
+    c, nxt = b[i], b[i + 1]
+    if nxt < len(x) and x[nxt] == c + 1:
+        return None
+    return x, b, c, nxt
 
 
 # -- single-cell operators ------------------------------------------------
@@ -160,12 +171,6 @@ def shift(path, i):
     if path is BOTTOM:
         return BOTTOM
     _check_index(path, i, "bounce index")
-    return _shift(path, i)
-
-
-def _shift(path, i):
-    """`shift` of ``path`` at a bounce index ``i`` already checked against
-    its length: the path or BOTTOM."""
     b = _points(path)
     y = _shift_run(path._x, b, i) if i < len(b) - 1 else None
     return BOTTOM if y is None else _path(y)
@@ -175,43 +180,38 @@ def unshift(path, i):
     """Inverse of shift; BOTTOM when no valid preimage exists.
 
     With c = b_i, the preimage's i-th bounce point is c + 1 and the move
-    count s is the east run leaving (b_{i-1}, c).  The candidate sets
-    row c + 1 to start b_{i-1} and gives rows b_{i+1} - s + 1 .. b_{i+1}
-    start c + 1; it is verified by applying shift's core, `_shift`,
-    forward at the index already checked.  The candidate is not built
-    when s >= b_{i+1} - c: its first moved row would then be row c + 1 or
+    count s = x_{c+1} - b_{i-1} is the east run leaving (b_{i-1}, c); s
+    >= 1, as row c + 1 starts right of b_{i-1} (c = bisect_right(x,
+    b_{i-1})).  The candidate sets row c + 1 to start b_{i-1} and gives
+    rows b_{i+1} - s + 1 .. b_{i+1} start c + 1.  It is not built when
+    s >= b_{i+1} - c: its first moved row would then be row c + 1 or
     lower and start above the diagonal.  Nor is it built for an input
     that no shift gives: one whose rows b_{i+1} - s + 1 .. b_{i+1} do not
-    all start at c, or with a row at c + 1.  A candidate that is built is
-    valid by construction, so the forward `_shift` is its one test.
+    all start at c, or that `_image_at` refuses.  A candidate that is
+    built is valid by construction, and its one test is shift's core,
+    `_shift_run`, run forward at the index already checked and compared
+    with the input's row starts.
     """
-    if path is BOTTOM:
+    seen = _image_at(path, i)
+    if seen is None:
         return BOTTOM
-    _check_index(path, i, "bounce index")
-    x = path._x
-    b = _points(path)
-    m = len(b) - 1
-    if i >= m:
-        return BOTTOM
-    c, nxt = b[i], b[i + 1]
-    if not (x[c - 1] <= b[i - 1] <= x[c]):
-        return BOTTOM
+    x, b, c, nxt = seen
     s = x[c] - b[i - 1]
     # The s moved rows t + 1 .. b_{i+1} start at c + 1 (they exist:
     # s <= x_{c+1} <= c < b_{i+1}), above the diagonal unless t > c.  When
     # t > c the candidate is valid: row c + 1 starts at b_{i-1} <= c, at
-    # or right of x_c and at or left of x_{c+1}, so of row c + 2 moved or
-    # not; every row up to b_{i+1} starts at or left of c, every row after
-    # it right of c (b_{i+1} = bisect_right(x, c)).
+    # or right of x_c and left of x_{c+1}, so of row c + 2 moved or not;
+    # every row up to b_{i+1} starts at or left of c, every row after it
+    # right of c (b_{i+1} = bisect_right(x, c)).  `shift` leaves the s
+    # rows it moves at c.
     t = nxt - s
-    if s < 1 or t <= c:
-        return BOTTOM
-    # `shift` leaves the s rows it moves at c, and no image has a row at
-    # c + 1 (the image lemma).
-    if x[t] != c or (nxt < len(x) and x[nxt] == c + 1):
+    if t <= c or x[t] != c:
         return BOTTOM
     candidate = _path(x[:c] + (b[i - 1],) + x[c + 1 : t] + (c + 1,) * s + x[nxt:])
-    if _shift(candidate, i) != path:
+    # The candidate keeps the input's bounce points up to b_{i-1} (its row
+    # c + 1 starts at b_{i-1}, right of b_{i-2}), and its b_i is
+    # c + 1 <= t < n, so i is below its m.
+    if _shift_run(candidate._x, _points(candidate), i) != x:
         return BOTTOM
     return candidate
 
@@ -304,23 +304,23 @@ def up(path, i):
     Cuts columns b_{i-1}+1 .. b_{i-1}+u+1 down to height b_i - 1 (u is the
     gap between column b_i and the next bounce point) and re-adds the cut
     material, rotated, against column b_i in the rows just below b_{i+1}.
-    The whole move is atomic: only the final state is validated.  One
-    refusal comes before the edit, since it can be read off the input:
-    when the cut reaches row b_i and cut >= b_i, row b_i of the result
-    starts at cut, above the diagonal, so the final check would fail.
+    The whole move is atomic: `_up_edit` refuses, from the input alone,
+    every move whose final state would be invalid, so the edit it returns
+    is the result.
     """
     if path is BOTTOM:
         return BOTTOM
     _check_index(path, i, "bounce index")
     edit = _up_edit(path, i)
-    return BOTTOM if edit is None else _checked(edit)
+    return BOTTOM if edit is None else _path(edit)
 
 
 def _up_edit(path, i):
     """`up`'s edit of the row starts x of ``path`` at a bounce index ``i``
-    already checked against its length, unchecked, or None where `up`
-    refuses before it edits.  It bisects x for the heights of columns
-    b_{i-1}, b_i and cut and of the u columns that beta reads."""
+    already checked against its length, or None where `up` is BOTTOM.
+    Each refusal comes before the edit, so an edit it returns is valid.
+    It bisects x for the heights of columns b_{i-1}, b_i and cut and of
+    the u columns that beta reads."""
     x = path._x
     b = _points(path)
     m = len(b) - 1
@@ -329,26 +329,28 @@ def _up_edit(path, i):
     p, c = b[i - 1], b[i]
     if i >= 2 and bisect_left(x, p) == c:
         return None
-    u = 0 if i == m else b[i + 1] - bisect_left(x, c)
+    # Rows lo + 1 .. b_{i+1} start at c (none when i = m: lo = c = n).
+    lo = bisect_left(x, c)
+    u = 0 if i == m else b[i + 1] - lo
     cut = p + u + 1
-    if cut > len(x):
+    # Rows 1 .. b_i start at or left of b_{i-1} < cut, so the cut raises
+    # rows b_i .. top = h(cut) to start at cut: row b_i ends above the
+    # diagonal exactly when cut >= b_i (which holds when cut > n).
+    if cut >= c:
         return None
+    # Now cut < c, so top <= lo: the raised rows start at cut <= c - 1 and
+    # lie below the beta rows.  Row lo + 1 + j loses beta_{j+1} =
+    # h(cut - j) - c + 1 cells, to start at 2c - 1 - h(cut - j), which
+    # rises with j and stays left of c, so of row b_{i+1} + 1.  So
+    # the one row that can break is row lo + 1, at 2c - 1 - top: it must
+    # start at or right of row lo, which starts at cut when top == lo.
     top = bisect_left(x, cut)
-    # Row b_i starts at or left of b_{i-1} < cut, so when it is one of the
-    # rows b_i .. h(cut) the cut raises it to start at cut.  The beta edit
-    # reaches rows b_{i+1} - u + 1 .. b_{i+1}, all above b_i since
-    # u <= b_{i+1} - b_i (column b_i has at least b_i rows left of it).  So
-    # row b_i ends at cut, above the diagonal exactly when cut >= b_i, and
-    # `_checked` would refuse the edit.
-    if cut >= c and top >= c:
+    if u and 2 * c - top - 1 < (cut if top == lo else x[lo - 1]):
         return None
     y = list(x)
-    # Rows 1 .. h(cut) are the rows that start left of cut, so every one
-    # of rows b_i .. h(cut) is raised to cut.
     y[c - 1 : top] = [cut] * (top - c + 1)
-    # Row b_{i+1} - u + j loses beta_j = h(cut + 1 - j) - b_i + 1 cells.
     for j in range(u):
-        y[b[i + 1] - u + j] -= bisect_left(x, cut - j) - c + 1
+        y[lo + j] -= bisect_left(x, cut - j) - c + 1
     return tuple(y)
 
 
@@ -356,27 +358,22 @@ def down(path, i):
     """Inverse of up; BOTTOM when no valid preimage exists.
 
     Rebuilds the unique candidate preimage (un-extend the rows below
-    b_{i+1}, restore the cut columns at the corner), checks it, and
-    accepts it only when up's raw edit, `_up_edit`, maps it to the input's
-    row starts, so up/down are mutually inverse by construction.  The
-    candidate is not built for an input that no `up` gives: one with a
-    row at c + 1 (c = b_i), or whose rows c + 1 .. c + beta_1 reach the
-    rows below b_{i+1} or do not all start where row c + 1 does.
+    b_{i+1}, restore the cut columns at the corner) and accepts it only
+    when up's edit, `_up_edit`, maps it to the input's row starts, so
+    up/down are mutually inverse by construction.  The candidate is not
+    built for an input that no `up` gives: one that `_image_at` refuses,
+    or whose rows c + 1 .. c + beta_1 (c = b_i) reach the rows below
+    b_{i+1} or do not all start where row c + 1 does.  A candidate that
+    is built is valid by construction (argued beside the build), so the
+    forward compare is its one test.
     """
-    if path is BOTTOM:
+    seen = _image_at(path, i)
+    if seen is None:
         return BOTTOM
-    _check_index(path, i, "bounce index")
-    x = path._x
-    n = len(x)
-    b = _points(path)
-    m = len(b) - 1
-    if i >= m:
-        return BOTTOM
-    c, nxt = b[i], b[i + 1]
+    x, b, c, nxt = seen
+    # u >= 0, as row c + 1 starts right of b_{i-1} (c = bisect_right(x,
+    # b_{i-1})), and x_{c+1} <= c, as row c + 1 is at most b_{i+1}.
     u = x[c] - b[i - 1] - 1
-    # No image has a row at c + 1 (the image lemma).
-    if u < 0 or (nxt < n and x[nxt] == c + 1):
-        return BOTTOM
     # `up` raised rows c + 1 .. c + beta_1 of its input to its cut x_{c+1},
     # left of its b_i = c + 1, so they lie below the beta rows lo + 1 .. nxt
     # (which started at c + 1) and start at x_{c+1}.
@@ -394,8 +391,14 @@ def down(path, i):
     # of c + 1 - t (beta falls as j rises).
     for r in range(c + 2, top + 1):
         xp[r - 1] = b[i - 1] + 1 + nxt - bisect_left(x, 2 * c + 2 - r, lo, nxt)
-    candidate = _checked(xp)
-    if candidate is BOTTOM or _up_edit(candidate, i) != x:
+    # The candidate is valid: row c + 1 starts at b_{i-1}, at or right of
+    # x_c; rows c + 2 .. top at b_{i-1} + 1 plus a count that rises with
+    # the row and is at most u, so at most x_{c+1} <= c; each unchanged row
+    # past c + 1 and up to lo at or right of x_{c+1}; rows lo + 1 .. nxt at
+    # c + 1, left of x_{nxt+1} > c.  Since lo >= top >= c + 1 when u > 0,
+    # every row past c + 1 starts at or left of c + 1, below the diagonal.
+    candidate = _path(tuple(xp))
+    if _up_edit(candidate, i) != x:
         return BOTTOM
     return candidate
 
@@ -449,4 +452,3 @@ def existence_scan_up(path, i):
     for j in range(i, 0, -1):
         if j == 1 or bisect_left(x, b[j - 1]) < b[j]:
             return j
-    return 1

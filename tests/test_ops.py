@@ -519,8 +519,8 @@ def test_inverses_return_exactly_the_preimage_exhaustive():
 @given(dyck_paths(max_n=30))
 @settings(max_examples=100, deadline=None)
 def test_inverse_results_are_valid_preimages_random(q):
-    # `unshift` builds its candidates unchecked and `down` compares a raw
-    # edit: every result must still pass the constructor's check; and the
+    # every operator builds its result unchecked, valid by construction:
+    # every result must still pass the constructor's check; and the
     # inverses refuse before they build a candidate, so every forward image
     # must come back, past the exhaustive range too
     for i in range(1, q.n + 1):
@@ -531,15 +531,19 @@ def test_inverse_results_are_valid_preimages_random(q):
                 assert forward(p, i) == q
             image = forward(q, i)
             if image is not BOTTOM:
+                assert DyckPath(image.row_starts) == image
                 assert inverse(image, i) == q, (forward.__name__, q.word, i)
 
 
 def test_inverses_build_no_candidate_they_throw_away(monkeypatch):
-    # `unshift` runs `_shift` and `down` runs `_checked` once per candidate
-    # it builds; each refusal before the candidate is exact, and together
-    # they leave no candidate to refuse after it over the n <= 9 paths
+    # `unshift` runs `_shift_run` and `down` runs `_up_edit` once per
+    # candidate it builds; each refusal before the candidate is exact, and
+    # together they leave no candidate to refuse after it over the n <= 9
+    # paths.  Every edit `_up_edit` returns, on any path and index, is
+    # valid, since `up` returns it unchecked.
+    up_edit = ops_module._up_edit
     built = {unshift: 0, down: 0}
-    for op, name in ((unshift, "_shift"), (down, "_checked")):
+    for op, name in ((unshift, "_shift_run"), (down, "_up_edit")):
         core = getattr(ops_module, name)
 
         def counted(*args, op=op, core=core):
@@ -548,35 +552,40 @@ def test_inverses_build_no_candidate_they_throw_away(monkeypatch):
 
         monkeypatch.setattr(ops_module, name, counted)
     kept = {unshift: 0, down: 0}
+    edits = 0
     for n in range(1, 10):
         for q in enumerate_paths(n):
             for i in range(1, n + 1):
                 for op in kept:
                     kept[op] += op(q, i) is not BOTTOM
+                edit = up_edit(q, i)
+                if edit is not None:
+                    edits += 1
+                    assert paths_module._row_starts_ok(edit)[0], (q.word, i)
     assert {op: built[op] - kept[op] for op in built} == {unshift: 0, down: 0}
+    assert edits == sum(OPERATOR_GRAPH_COUNTS[up][:9])
 
 
-def test_each_operator_call_scans_row_starts_at_most_once(monkeypatch):
-    # shift and unshift build valid paths by construction; up checks its
-    # edit and down its candidate, once
+def test_operator_calls_scan_no_row_starts(monkeypatch):
+    # every compound operator builds its result valid by construction:
+    # `ops` holds no validity scan, and no call reaches the constructor's
     scans = 0
-    scan = ops_module._row_starts_ok
+    scan = paths_module._row_starts_ok
 
     def counted(x):
         nonlocal scans
         scans += 1
         return scan(x)
 
-    monkeypatch.setattr(ops_module, "_row_starts_ok", counted)
+    assert not hasattr(ops_module, "_row_starts_ok")
+    assert not hasattr(ops_module, "_checked")
     monkeypatch.setattr(paths_module, "_row_starts_ok", counted)
-    limits = {shift: 0, unshift: 0, up: 1, down: 1}
     for n in range(1, 8):
         for p in list(enumerate_paths(n)):
             for i in range(1, n + 1):
-                for op, limit in limits.items():
-                    scans = 0
+                for op in (shift, unshift, up, down):
                     op(p, i)
-                    assert scans <= limit, (op.__name__, p.word, i, scans)
+                    assert scans == 0, (op.__name__, p.word, i, scans)
 
 
 def test_shift_and_every_boost_unit_go_through_one_shift_rule(monkeypatch):
@@ -621,6 +630,19 @@ def test_scan_up_immediate_case():
     assert p.column_heights()[1] == p.bounce_points()[2]
     assert existence_scan_up(p, 1) == 1
     assert up(p, 1) == w("NENNEE")
+
+
+@given(dyck_paths(max_n=30))
+@settings(max_examples=200, deadline=None)
+def test_scan_indices_admit_their_operator_random(p):
+    # the paper's lemma: where a scan's hypothesis holds, the index it
+    # returns admits its operator, so a refusal in `down` or `up` that is
+    # too eager shows here, past the exhaustive range
+    for i in range(1, p.n + 1):
+        j = existence_scan_down(p, i)
+        assert j is None or (j >= i and down(p, j) is not BOTTOM), (p.word, i, j)
+        j = existence_scan_up(p, i)
+        assert j is None or (j <= i and up(p, j) is not BOTTOM), (p.word, i, j)
 
 
 # sha256 over the outcome lines of `scan_outcomes`, computed with the scans
