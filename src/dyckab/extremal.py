@@ -7,12 +7,17 @@ trade at a time (down: area + 1 / bounce - 1, up: the reverse) through
 path classes realizes every intermediate split of s, which settles which
 (area, bounce) pairs are populated.
 
-Everything here reads one exhaustive table, `level_sets`, capped at
+Two tables hold the levels.  `ab_level_map`, s -> the realized (area,
+bounce) keys of level s, reads Haglund's recurrence (`qbell`) and
+enumerates nothing, up to _LEVEL_MAP_CAP; what needs only the keys
+reads it (the level-end tests `is_bounce_minimal` and `is_area_minimal`,
+`nonemptiness_symmetry`, `bounce_interval_conjecture`).  What needs the
+paths reads the exhaustive table `level_sets`, capped at
 ENUMERATION_CAP.  It is filled from runs of paths that share all but
 their last TAIL_ROWS rows, each run one bytes join per group of tails
 that land on one level; during the build a level is one int, its id
 ``area * stride + bounce``, and becomes an (area, bounce) key once at
-the end.  The minimal sets are its level ends: the first key of a level
+the end.  The minimal sets are the level ends: the first key of a level
 (by area) is area-minimal, the last bounce-minimal.  The shape
 conditions the theory attaches to them are kept as separate predicates
 and compared in the verification suite.  Both are necessary but not
@@ -50,7 +55,7 @@ from .paths import (
 )
 from .ops import BOTTOM, add_column_cell, down, up
 from .bijection import phi, phi_inverse
-from .qbell import ab_interval_width, minimizing_composition
+from .qbell import _realized_pairs, ab_interval_width, minimizing_composition
 
 # Largest n `level_sets`, and so everything that reads it, accepts.  The
 # table keeps the row starts of every path, one byte each: n = 12 (208,012
@@ -60,6 +65,12 @@ from .qbell import ab_interval_width, minimizing_composition
 # 3.5 times as many paths (Catalan numbers), and n = 11 to 12 took 3.5 to
 # 4 times the CPU.
 ENUMERATION_CAP = 12
+
+# Largest n `ab_level_map` accepts.  The map keeps one key per realized
+# pair, and the pairs grow about as n**4: n = 40 (265,787 pairs) takes
+# 0.23 s of CPU with a peak of 50 MB for a whole fresh process, and n = 50
+# (669,074 pairs) 0.94 s and 125 MB (2-core Xeon, Python 3.11).
+_LEVEL_MAP_CAP = 40
 
 # Rows of each path that `level_sets` appends from a memoized tail table
 # rather than steps through the enumerator.  At n = 12 (CPU of the build
@@ -132,11 +143,22 @@ def level_sets(n: int) -> MappingProxyType:
 @_size_cache
 def ab_level_map(n: int) -> MappingProxyType:
     """Read-only s -> sorted tuple of realized (area, bounce) with
-    area + bounce = s."""
-    out = {}
-    for key in level_sets(n):
-        out.setdefault(sum(key), []).append(key)
-    return MappingProxyType({s: tuple(sorted(keys)) for s, keys in out.items()})
+    area + bounce = s, largest s first, for n <= _LEVEL_MAP_CAP.  No path
+    is enumerated: the pairs are the set bits of `qbell._realized_pairs`,
+    bit bounce * (C(n,2)+1) + area, read a byte at a time."""
+    if _semilength(n) > _LEVEL_MAP_CAP:
+        raise ValueError(
+            f"semilength {n} is above {_LEVEL_MAP_CAP}, the largest the level map accepts"
+        )
+    size = math.comb(n, 2) + 1
+    bits = _realized_pairs(n)
+    out = defaultdict(list)
+    for i, byte in enumerate(bits.to_bytes((bits.bit_length() + 7) // 8, "little")):
+        while byte:  # each set bit, lowest first
+            bounce, area = divmod(8 * i + (byte & -byte).bit_length() - 1, size)
+            out[area + bounce].append((area, bounce))
+            byte &= byte - 1
+    return MappingProxyType({s: tuple(sorted(out[s])) for s in sorted(out, reverse=True)})
 
 
 @lru_cache(maxsize=None)
@@ -282,14 +304,13 @@ def _witnesses(n: int, s: int) -> MappingProxyType:
 
 
 def construct_path(n: int, a: int, b: int):
-    """A member of P_n(a, b), or None when the level is empty or the
-    walks through level a + b (see `_witnesses`) do not reach (a, b).
-    An a or b that is not a plain int is refused with ValueError."""
+    """A member of P_n(a, b), or None when no path has these statistics
+    or the walks through level a + b (see `_witnesses`) do not reach
+    (a, b).  An a or b that is not a plain int is refused with
+    ValueError, and n above ENUMERATION_CAP by the level table."""
     _semilength(n)
     _plain_ints((a, b), "statistic", "position")
-    if a < 0 or b < 0:
-        return None
-    if a + b not in ab_level_map(n):
+    if a < 0 or b < 0 or (a, b) not in level_sets(n):
         return None
     return _witnesses(n, a + b).get((a, b))
 
@@ -299,7 +320,7 @@ def construct_path(n: int, a: int, b: int):
 
 def nonemptiness_symmetry(n: int) -> dict:
     """Check that (a, b) is realized exactly when (b, a) is."""
-    realized = set(level_sets(n))
+    realized = {key for keys in ab_level_map(n).values() for key in keys}
     failures = [key for key in realized if (key[1], key[0]) not in realized]
     return {
         "n": n,

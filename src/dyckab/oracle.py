@@ -546,20 +546,15 @@ def check_distinct_ab_reference(sizes):
 
 def check_qbell_support(sizes):
     """q_bell(n) has no zero coefficient in degrees 0..width(n), and as
-    many nonzero coefficients as the nonzero cells of `qt_catalan(n)` have
-    distinct area + bounce totals: the paper's count theorem, read off
-    Haglund's formula instead of enumerated paths."""
+    many nonzero coefficients as the realized (area, bounce) pairs have
+    distinct totals: the paper's count theorem, read off Haglund's formula
+    (`extremal.ab_level_map`) instead of enumerated paths."""
     for n in sizes:
         coeffs = qbell.q_bell(n)
         width = qbell.ab_interval_width(n)
         if len(coeffs) != width + 1 or any(c <= 0 for c in coeffs):
             return {"n": n, "coeffs": list(coeffs)}
-        totals = {
-            a + b
-            for a, row in enumerate(qbell.qt_catalan(n).rows)
-            for b, count in enumerate(row)
-            if count
-        }
+        totals = set(extremal.ab_level_map(n))
         nonzero = sum(1 for c in coeffs if c)
         if len(totals) != nonzero:
             return {"n": n, "distinct_totals": len(totals), "nonzero_coeffs": nonzero}
@@ -585,8 +580,15 @@ def check_q_binomial_lattice(sizes):
 
 
 def check_distinct_ab_brute(sizes):
+    """The enumerated (area, bounce) pairs are the keys `ab_level_map`
+    files under their totals, and their totals span the width interval."""
     for n in sizes:
-        totals = {a + b for a, b in paths.iter_area_bounce(n)}
+        pairs = set(paths.iter_area_bounce(n))
+        # a key filed under the wrong total counts as missing
+        listed = {k for s, ks in extremal.ab_level_map(n).items() for k in ks if sum(k) == s}
+        if listed != pairs:
+            return {"n": n, "missing": sorted(pairs - listed), "extra": sorted(listed - pairs)}
+        totals = {a + b for a, b in pairs}
         if len(totals) != qbell.distinct_ab_count(n):
             return {"n": n, "brute": len(totals)}
         if n >= 1 and (
@@ -656,7 +658,7 @@ SUITES = {
     ],
     "qbell": [
         ("distinct-ab-reference", None, check_distinct_ab_reference),
-        ("qbell-support", range(21), check_qbell_support),
+        ("qbell-support", range(31), check_qbell_support),
         ("bell-evaluation", range(21), check_bell_evaluation),
         ("q-binomial-lattice", None, check_q_binomial_lattice),
         ("distinct-ab-brute", range(13), check_distinct_ab_brute),

@@ -13,11 +13,16 @@ as no coefficient outgrows w bits.  `poly_mul` is this kernel for tuples.
 `q_binomial` evaluates the Gaussian product formula at q = 2**w,
 `q_bell` fills a q-Bell triangle (a q-analogue of Aitken's array) with
 shifts and additions alone, at 2**w above Bell(n), the largest
-coefficient it meets, and `qt_catalan` keeps the whole (area, bounce)
-table packed as one integer, with t = 2**(w * (C(n,2) + 1)), while it
-sums Haglund's bounce formula.  Each result is unpacked once, at the
-end.  Enumerating paths (`paths.iter_area_bounce`) serves only as the
-oracle for these tables.
+coefficient it meets.  Each result is unpacked once, at the end.
+
+Haglund's bounce formula has one loop, `_haglund`, over (remaining size,
+first part), with t = 2**(w * (C(n,2) + 1)) so a whole (area, bounce)
+table is one integer.  It takes its two steps as arguments.
+`qt_catalan` multiplies by packed Gaussian binomials and adds, and
+`_realized_pairs` runs it at q = 2 on support bitsets: it smears a
+bitset over the degrees of each Gaussian and ORs, so a bit is set
+exactly where a cell of the table is nonzero.  Enumerating paths
+(`paths.iter_area_bounce`) serves only as the oracle for these tables.
 
 The width function here drives everything downstream: width(n) is both the
 degree of the q-Bell polynomial and the length of the interval of realized
@@ -28,7 +33,8 @@ distinct totals as well as the nonzero q-Bell coefficients.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, partial, reduce
+from operator import or_
 from typing import NamedTuple
 
 from .paths import _plain_ints, _semilength, _size_cache, catalan
@@ -271,9 +277,6 @@ class BivariateTable(NamedTuple):
             for j in range(i + 1, size)
         )
 
-    def transpose(self) -> "BivariateTable":
-        return BivariateTable(self.n, tuple(zip(*self.rows)))
-
     def support_totals(self):
         """(min, max) of a + b over nonzero entries; None when empty."""
         totals = [
@@ -286,14 +289,6 @@ class BivariateTable(NamedTuple):
             return None
         return min(totals), max(totals)
 
-    def evaluate(self, q, t):
-        return sum(
-            v * q**i * t**j
-            for i, row in enumerate(self.rows)
-            for j, v in enumerate(row)
-            if v
-        )
-
     def to_csv(self) -> str:
         size = len(self.rows)
         lines = ["area\\bounce," + ",".join(str(j) for j in range(size))]
@@ -302,9 +297,9 @@ class BivariateTable(NamedTuple):
         return "\n".join(lines) + "\n"
 
 
-def qt_catalan(n: int) -> BivariateTable:
-    """Joint distribution of (area, bounce) over all paths of semilength n,
-    from Haglund's bounce formula (Adv. Math. 175, 2003):
+def _haglund(n: int, w: int, times, total) -> int:
+    """Haglund's bounce formula (Adv. Math. 175, 2003) for semilength n,
+    packed at q = 2**w and t = 2**(w * (C(n,2)+1)):
 
         C_n(q, t) = sum over compositions alpha of n of
                     q^(sum C(alpha_i, 2)) t^(sum (i-1) alpha_i)
@@ -315,11 +310,32 @@ def qt_catalan(n: int) -> BivariateTable:
 
         G(m, a) = q^C(a,2) t^(m-a) sum_b [a+b-1 choose b]_q G(m-a, b),
 
-    since prepending a part raises every later part's index by one.  Each
-    G(m, a) is one packed integer: q = 2**w and t = 2**(w * (C(n,2)+1)).
-    Every coefficient counts paths, so none exceeds Catalan(n) < 2**w, and
-    no area exceeds C(n,2): no digit carries and no power of q reaches the
-    next power of t.  The table is read back from the digits."""
+    since prepending a part raises every later part's index by one.  The
+    loop runs over (remaining size m, first part a); ``times(a, b, g)``
+    stands for the product of g by [a+b-1 choose b]_q and ``total`` for
+    the sum, so the caller picks the arithmetic.  No area exceeds C(n,2),
+    so no power of q reaches the next power of t."""
+    size = math.comb(n, 2) + 1
+    # tails[m][a] = G(m, a) for 1 <= a <= m; index 0 is unused.
+    tails = [[0]]
+    for m in range(1, n + 1):
+        row = [0]
+        for a in range(1, m + 1):
+            rest = m - a
+            inner = total(
+                times(a, b, tails[rest][b]) for b in range(1, rest + 1)
+            ) if rest else 1
+            row.append(inner << (w * (math.comb(a, 2) + size * rest)))
+        tails.append(row)
+    return total(tails[n][1:]) if n else 1
+
+
+def qt_catalan(n: int) -> BivariateTable:
+    """Joint distribution of (area, bounce) over all paths of semilength n,
+    from Haglund's bounce formula (`_haglund`) with each G(m, a) one packed
+    integer and each Gaussian factor packed at the same q = 2**w.  Every
+    coefficient counts paths, so none exceeds Catalan(n) < 2**w and no
+    digit carries.  The table is read back from the digits."""
     _semilength(n)
     size = math.comb(n, 2) + 1
     nbytes = catalan(n).bit_length() // 8 + 1
@@ -329,21 +345,31 @@ def qt_catalan(n: int) -> BivariateTable:
         for a in range(1, n + 1)
         for b in range(1, n - a + 1)
     }
-    # tails[m][a] = G(m, a) for 1 <= a <= m; index 0 is unused.
-    tails = [[0]]
-    for m in range(1, n + 1):
-        row = [0]
-        for a in range(1, m + 1):
-            rest = m - a
-            inner = sum(
-                gauss[a, b] * tails[rest][b] for b in range(1, rest + 1)
-            ) if rest else 1
-            row.append(inner << (w * (math.comb(a, 2) + size * rest)))
-        tails.append(row)
-    packed = sum(tails[n][1:]) if n else 1
+    packed = _haglund(n, w, lambda a, b, g: gauss[a, b] * g, sum)
     digits = _unpack(packed, nbytes, size * size)
     by_bounce = [digits[j * size : (j + 1) * size] for j in range(size)]
     return BivariateTable(n, tuple(zip(*by_bounce)))
+
+
+def _smear(bits: int, span: int) -> int:
+    """The OR of bits << k over k = 0..span, by doubling: the shifts
+    covered grow 1, 2, 4, ... until they reach span + 1."""
+    covered = 1
+    while covered <= span:
+        step = min(covered, span + 1 - covered)
+        bits |= bits << step
+        covered += step
+    return bits
+
+
+def _realized_pairs(n: int) -> int:
+    """The support of `qt_catalan(n)` as one bitset: bit
+    bounce * (C(n,2)+1) + area is set when some path of semilength n has
+    that area and bounce.  It is `_haglund` at q = 2 (w = 1) on support
+    bitsets: every coefficient of [a+b-1 choose b]_q in degrees
+    0..b(a-1) is positive, so a product is the smear over those shifts,
+    and a sum of nonnegative terms is the OR."""
+    return _haglund(n, 1, lambda a, b, g: _smear(g, b * (a - 1)), partial(reduce, or_))
 
 
 def qt_flip_closure(n: int) -> BivariateTable:

@@ -101,7 +101,8 @@ def test_criterion_6_nonemptiness_and_construction():
 def test_criterion_7_distinct_totals():
     start = time.perf_counter()
     # the published counts; q_bell's coefficients and the totals of the
-    # qt-Catalan table for n <= 20; enumerated totals for n <= 12
+    # pairs Haglund's formula realizes for n <= 30; enumerated pairs for
+    # n <= 12
     assert_check_holds("distinct-ab-reference")
     assert_check_holds("qbell-support")
     assert_check_holds("distinct-ab-brute")

@@ -9,13 +9,16 @@ import pytest
 from dyckab import cli
 from dyckab.paths import DyckPath, PathSequence, enumerate_paths
 from dyckab.bijection import phi
+from dyckab.qbell import qt_catalan
 from dyckab.extremal import (
     ENUMERATION_CAP,
+    _LEVEL_MAP_CAP,
     _class_index,
     _witnesses,
     ab_ladder,
     ab_level_map,
     area_minimal,
+    bounce_interval_conjecture,
     bounce_minimal,
     construct_path,
     equivalence_class,
@@ -24,6 +27,7 @@ from dyckab.extremal import (
     level_sets,
     max_ab,
     min_ab,
+    nonemptiness_symmetry,
     phi_on_minimal,
     satisfies_area_minimal_conditions,
     satisfies_bounce_minimal_conditions,
@@ -76,6 +80,33 @@ def test_enumerating_functions_refuse_above_cap():
         with pytest.raises(ValueError, match=f"above {ENUMERATION_CAP}"):
             call()
     assert time.perf_counter() - start < 1.0
+
+
+def test_level_map_refuses_above_its_bound():
+    assert _LEVEL_MAP_CAP >= 30
+    start = time.perf_counter()
+    for call in (
+        ab_level_map,
+        nonemptiness_symmetry,
+        bounce_interval_conjecture,
+        lambda n: is_bounce_minimal(blocks((n,))),
+    ):
+        with pytest.raises(ValueError, match=f"above {_LEVEL_MAP_CAP}"):
+            call(_LEVEL_MAP_CAP + 1)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_level_map_is_the_support_of_qt_catalan():
+    # keys and order; distinct-ab-brute checks the keys against the
+    # enumerator for n <= 12, and this oracle reaches past the level table
+    for n in range(19):
+        levels = {}
+        for a, row in enumerate(qt_catalan(n).rows):
+            for b, count in enumerate(row):
+                if count:
+                    levels.setdefault(a + b, []).append((a, b))
+        want = {s: tuple(levels[s]) for s in sorted(levels, reverse=True)}
+        assert list(ab_level_map(n).items()) == list(want.items())
 
 
 def assert_sequence_matches(seq, want):
@@ -199,13 +230,18 @@ def test_minimal_membership_predicates():
 
 
 def test_full_path_is_bounce_minimal():
-    for n in (2, 5, 7):
+    # n = 20 is past the level table: the level map answers without it
+    before = level_sets.cache_info()
+    for n in (2, 5, 7, 20):
         assert is_bounce_minimal(blocks((n,)))
+    assert level_sets.cache_info() == before
 
 
 def test_staircase_is_area_minimal():
-    for n in (2, 5, 7):
+    before = level_sets.cache_info()
+    for n in (2, 5, 7, 20):
         assert is_area_minimal(blocks((1,) * n))
+    assert level_sets.cache_info() == before
 
 
 def test_area_minimal_conditions_necessary_not_sufficient():

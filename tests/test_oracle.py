@@ -136,7 +136,7 @@ def test_declared_ranges():
         "ab-interval": (1, 10),
         "bounce-interval-conjecture": (1, 9),
         "distinct-ab-reference": None,
-        "qbell-support": (0, 20),
+        "qbell-support": (0, 30),
         "bell-evaluation": (0, 20),
         "q-binomial-lattice": None,
         "distinct-ab-brute": (0, 12),
@@ -165,6 +165,20 @@ def test_qbell_support_check_catches_a_dropped_coefficient(monkeypatch):
     monkeypatch.setattr(qbell, "ab_interval_width", lambda n: width(n) - 1)
     detail = oracle.check_qbell_support(range(21))
     assert detail == {"n": 0, "distinct_totals": 1, "nonzero_coeffs": 0}
+
+
+def test_distinct_ab_brute_check_catches_a_dropped_level_key(monkeypatch):
+    ab_level_map = extremal.ab_level_map
+
+    def dropped(n):
+        levels = dict(ab_level_map(n))
+        if n == 4:
+            levels[5] = levels[5][1:]  # (1, 4) goes
+        return levels
+
+    monkeypatch.setattr(extremal, "ab_level_map", dropped)
+    detail = oracle.check_distinct_ab_brute(range(13))
+    assert detail == {"n": 4, "missing": [(1, 4)], "extra": []}
 
 
 def test_flip_round_trip_check_catches_swapped_certificates(monkeypatch):

@@ -228,7 +228,6 @@ def test_qt_catalan_two():
     assert table.at(1, 0) == 1
     assert table.at(0, 1) == 1
     assert table.total() == 2
-    assert table.evaluate(1, 1) == 2
 
 
 def test_qt_catalan_totals_and_symmetry():
@@ -236,7 +235,6 @@ def test_qt_catalan_totals_and_symmetry():
         table = qt_catalan(n)
         assert table.total() == catalan(n)
         assert table.is_symmetric()
-        assert table.transpose().rows == table.rows
 
 
 def test_qt_catalan_degenerate_sizes():
