@@ -47,6 +47,7 @@ from .paths import (
     _composition,
     _iter_runs,
     _packed,
+    _path,
     _plain_ints,
     _semilength,
     _size_cache,
@@ -59,11 +60,11 @@ from .qbell import _realized_pairs, ab_interval_width, minimizing_composition
 
 # Largest n `level_sets`, and so everything that reads it, accepts.  The
 # table keeps the row starts of every path, one byte each: n = 12 (208,012
-# paths) takes about 0.09 s of CPU in process, and 0.28 s with a peak of
-# 19 MB for a whole fresh process with its start-up (medians of 3 to 5
-# fresh processes, 2-core Xeon, Python 3.11).  Each further n holds about
-# 3.5 times as many paths (Catalan numbers), and n = 11 to 12 took 3.5 to
-# 4 times the CPU.
+# paths) takes about 0.028 s of CPU in process, and 0.083 s with a peak RSS
+# of 18 MB for a whole fresh process with its start-up (medians of 7 fresh
+# processes, 2-core Xeon, Python 3.11).  Each further n holds about 3.5
+# times as many paths (Catalan numbers), and n = 11 to 12 took 2.3 times
+# the CPU.
 ENUMERATION_CAP = 12
 
 # Largest n `ab_level_map` accepts.  The map keeps one key per realized
@@ -75,9 +76,8 @@ _LEVEL_MAP_CAP = 40
 # Rows of each path that `level_sets` appends from a memoized tail table
 # rather than steps through the enumerator.  At n = 12 (CPU of the build
 # in a fresh process, medians of 9 alternated runs, 2-core Xeon, Python
-# 3.11) three rows took 0.051 s, four 0.041 and five 0.042; six took
-# about 0.09 s on a slower stretch where four took 0.071.  More rows mean
-# fewer runs but many more tails to list and join.
+# 3.11) three rows took 0.033 s, four 0.028, five 0.032 and six 0.045.
+# More rows mean fewer runs but many more tails to list and join.
 TAIL_ROWS = 4
 
 
@@ -92,22 +92,28 @@ def level_sets(n: int) -> MappingProxyType:
     bounce point, so `paths._tail_levels` lists them once per such pair
     for the call, grouped by one int per group; each group is one
     ``head.join`` onto its level, with no tuple per path.  During the
-    build a level is keyed by its id ``area * stride + bounce``, with
-    ``stride`` = C(n, 2) + 1 above any bounce, and a group of tails that
+    build a level is its id ``area * stride + bounce``, with ``stride`` =
+    C(n, 2) + 1 above any bounce, and its bytes sit at that index of a
+    list of stride**2 slots, None until first seen.  A group of tails that
     takes ``drop`` from the area and adds ``gain`` to the bounce lands at
-    the run's id less ``drop * stride - gain``.  The ids become (area,
-    bounce) keys once per level at the end, in first-seen order.
+    the run's id less ``drop * stride - gain``.  At the end the seen ids
+    become (area, bounce) keys in first-seen order, each slot freed as
+    its level is packed.
 
     The keys are the enumerator's carried stats, while the rest of this
-    module reads the `DyckPath` methods; the first path of each level is
-    checked against the methods, so the two routes cannot drift apart."""
+    module reads the `DyckPath` methods; the first path of each enumerated
+    level is checked against the methods, so the two routes cannot drift
+    apart.  Below n = 2 no path is enumerated and none is checked."""
     if _semilength(n) > ENUMERATION_CAP:
         raise ValueError(
             f"semilength {n} is above {ENUMERATION_CAP}, the largest the "
             "level table enumerates (ENUMERATION_CAP)"
         )
+    if n < 2:
+        return MappingProxyType({(0, 0): PathSequence([(0,) * n])})
     stride = n * (n - 1) // 2 + 1  # above any bounce, so a level id decodes
-    blobs = defaultdict(bytearray)
+    blobs = [None] * (stride * stride)  # level id -> its bytes, once seen
+    seen = []  # the level ids in first-seen order
     rows = min(TAIL_ROWS, n - 1)
     tails = {}  # (prefix[-1], last) -> the _tail_levels of such a prefix
     # one bytes object per tail across all lasts: 15,414 tails are 1,261
@@ -124,19 +130,21 @@ def level_sets(n: int) -> MappingProxyType:
         head = bytes(prefix)
         base = area * stride + bounce
         for off, parts in groups:
-            blobs[base - off] += head.join(parts)
-    if n < 2:
-        out = {(0, 0): PathSequence([(0,) * n])}
-    else:
+            blob = blobs[base - off]
+            if blob is None:
+                blob = blobs[base - off] = bytearray()
+                seen.append(base - off)
+            blob += head.join(parts)
+    out = {}
+    for level in seen:
         # one level's bytes at a time, so the table is never held twice
-        out = {}
-        for level in list(blobs):
-            blob = blobs.pop(level)
-            out[divmod(level, stride)] = _packed(bytes(blob), n, len(blob) // n)
-    for key, members in out.items():
-        first = members[0]
+        blob = bytes(blobs[level])
+        blobs[level] = None
+        key = divmod(level, stride)
+        first = _path(tuple(blob[:n]))
         if (first.area(), first.bounce()) != key:
             raise AssertionError(f"level {key} holds {first.word}, whose methods disagree")
+        out[key] = _packed(blob, n, len(blob) // n)
     return MappingProxyType(out)
 
 

@@ -54,18 +54,31 @@ def test_level_sets_refuse_stats_the_methods_disagree_with(monkeypatch):
         level_sets.cache_clear()
 
 
+def test_level_sets_refuse_an_area_the_methods_disagree_with(monkeypatch):
+    area = DyckPath.area
+    monkeypatch.setattr(DyckPath, "area", lambda self: area(self) + 1)
+    level_sets.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match="methods disagree"):
+            level_sets(4)
+    finally:
+        level_sets.cache_clear()
+
+
 def test_level_table_memory():
     # one byte per row start: about 0.9 MB at n = 11, where a tuple per
-    # path held 8.2 MB
+    # path held 8.2 MB; the build peaks at about 1.4 MB, and holding the
+    # table twice while packing it would take it past 2 MB
     level_sets.cache_clear()
     tracemalloc.start()
     try:
         level_sets(11)
-        held = tracemalloc.get_traced_memory()[0]
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
         level_sets.cache_clear()
     assert held < 2_000_000
+    assert peak < 2_000_000
 
 
 def test_enumerating_functions_refuse_above_cap():
